@@ -65,6 +65,12 @@ inline void print_time_row(const char *Name, double T1, double Tp) {
               Tp > 0 ? T1 / Tp : 0.0);
 }
 
+/// One row with a single measured wall time, for benchmarks that time one
+/// configuration (no T1/Tp pair, so no speedup column).
+inline void print_single_time_row(const char *Name, double T) {
+  std::printf("%-28s T=%9.4fs\n", Name, T);
+}
+
 inline void print_size_row(const char *Name, size_t Bytes, size_t Baseline) {
   std::printf("%-28s %10.3f MB  (%.2fx of smallest)\n", Name,
               Bytes / (1024.0 * 1024.0),
@@ -87,7 +93,7 @@ inline std::string arg_str(int argc, char **argv, const char *Name) {
 class JsonReport {
 public:
   /// \p ExtraConfig, when nonempty, is spliced verbatim into the config
-  /// object (e.g. "\"lockfree_sched\": true").
+  /// object (e.g. "\"workers\": [1, 2, 4]").
   JsonReport(const char *Tool, size_t N, int Reps,
              const std::string &ExtraConfig = std::string()) {
     char Buf[384];

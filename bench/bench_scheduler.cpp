@@ -13,17 +13,11 @@
 //  - parallel_for_gran1 / parallel_for_default: fork saturation (one fork
 //    per element) and the default-grain loop; with >1 workers gran1 doubles
 //    as the steal-throughput row (see the sched_* counter rows).
-//  - build/union/flatten at par_gran 2048 (the retuned default) vs 8192
-//    (the mutex-era setting), B=128: proves the tree operations are no
-//    slower — and the machine-room is cheaper — at the finer grain.
+//  - build_sorted/union_equal/flatten, B=128: the tree operations at the
+//    library's fork grain (tree_ops::kParGran, node_layer::kGcGran).
 //  - sched_* rows: scheduler telemetry counters accumulated over the run
 //    (ops = count, seconds = 0), recorded so steal/park behavior lands in
 //    the artifact next to the timings.
-//
-// The deque implementation is whatever the pool was created with: compile
-// default CPAM_LOCKFREE_SCHED, overridable by the environment variable of
-// the same name. CI and BENCH_PR4.json run the binary twice (env 0/1) and
-// compare.
 //
 //===----------------------------------------------------------------------===//
 
@@ -67,13 +61,13 @@ void runForkOverhead(size_t N, JsonReport &Report) {
 
   double TPar = medianPrepared(g_reps, [] {}, Loop);
   Report.add("fork_overhead", -1, N, TPar);
-  print_time_row("fork_overhead", TPar, TPar);
+  print_single_time_row("fork_overhead", TPar);
 
   par::set_sequential(true);
   double TSeq = medianPrepared(g_reps, [] {}, Loop);
   par::set_sequential(false);
   Report.add("fork_baseline_seq", -1, N, TSeq);
-  print_time_row("fork_baseline_seq", TSeq, TSeq);
+  print_single_time_row("fork_baseline_seq", TSeq);
 
   std::printf("   net fork-join cost: %.1f ns/fork\n",
               (TPar - TSeq) / N * 1e9);
@@ -89,7 +83,7 @@ void runParallelFor(size_t N, JsonReport &Report) {
             /*Gran=*/1);
       });
   Report.add("parallel_for_gran1", -1, N, TGran1);
-  print_time_row("parallel_for_gran1", TGran1, TGran1);
+  print_single_time_row("parallel_for_gran1", TGran1);
 
   double TDef = medianPrepared(
       g_reps, [] {},
@@ -98,35 +92,27 @@ void runParallelFor(size_t N, JsonReport &Report) {
             0, N, [&](size_t I) { Out[I] = static_cast<uint8_t>(I + 1); });
       });
   Report.add("parallel_for_default", -1, N, TDef);
-  print_time_row("parallel_for_default", TDef, TDef);
+  print_single_time_row("parallel_for_default", TDef);
 }
 
-/// Tree operations at a given fork grain (the retuned 2048 default vs the
-/// mutex-era 8192), B=128, raw encoding.
-void runTreeOpsAtGrain(size_t N, size_t Grain, JsonReport &Report) {
+/// Tree operations at the library's fork grain, B=128, raw encoding.
+void runTreeOps(size_t N, JsonReport &Report) {
   using Map = pam_map<uint64_t, uint64_t, 128>;
   using Entry = typename Map::entry_t;
   using ops = typename Map::ops;
-
-  size_t SavedGran = ops::par_gran();
-  size_t SavedGc = ops::par_gc_gran();
-  ops::par_gran() = Grain;
-  ops::par_gc_gran() = Grain;
 
   std::vector<Entry> Sorted(N), SortedOdd(N);
   for (size_t I = 0; I < N; ++I) {
     Sorted[I] = {2 * I, I};
     SortedOdd[I] = {2 * I + 1, I};
   }
-  // Warm the pool with a full build/destroy cycle first so every grain
-  // section measures against recycled (address-sorted) storage — otherwise
-  // whichever grain runs first pays the fresh-slab carving and the
-  // comparison measures allocator state, not the grain.
+  // Warm the pool with a full build/destroy cycle first so the timed rows
+  // measure against recycled (address-sorted) storage, not the fresh-slab
+  // carving of a cold pool.
   { Map Warm = Map::from_sorted(Sorted); }
   Map Evens = Map::from_sorted(Sorted);
   Map Odds = Map::from_sorted(SortedOdd);
 
-  char Name[64];
   Map Out;
   std::vector<Entry> Scratch;
 
@@ -137,16 +123,14 @@ void runTreeOpsAtGrain(size_t N, size_t Grain, JsonReport &Report) {
         Scratch = Sorted;
       },
       [&] { Out = Map::from_sorted(std::move(Scratch)); });
-  std::snprintf(Name, sizeof(Name), "build_sorted_g%zu", Grain);
-  Report.add(Name, 128, N, TBuild);
-  print_time_row(Name, TBuild, TBuild);
+  Report.add("build_sorted", 128, N, TBuild);
+  print_single_time_row("build_sorted", TBuild);
 
   double TUnion = medianPrepared(
       g_reps, [&] { Out = Map(); },
       [&] { Out = Map::map_union(Evens, Odds); });
-  std::snprintf(Name, sizeof(Name), "union_equal_g%zu", Grain);
-  Report.add(Name, 128, 2 * N, TUnion);
-  print_time_row(Name, TUnion, TUnion);
+  Report.add("union_equal", 128, 2 * N, TUnion);
+  print_single_time_row("union_equal", TUnion);
   Out = Map();
 
   // Flatten at the ops layer into a preallocated buffer: the timed region
@@ -158,13 +142,9 @@ void runTreeOpsAtGrain(size_t N, size_t Grain, JsonReport &Report) {
     double TFlatten = medianPrepared(
         g_reps, [] {}, [&] { ops::to_array(T, Buf.data()); });
     ops::dec(T);
-    std::snprintf(Name, sizeof(Name), "flatten_g%zu", Grain);
-    Report.add(Name, 128, N, TFlatten);
-    print_time_row(Name, TFlatten, TFlatten);
+    Report.add("flatten", 128, N, TFlatten);
+    print_single_time_row("flatten", TFlatten);
   }
-
-  ops::par_gran() = SavedGran;
-  ops::par_gc_gran() = SavedGc;
 }
 
 void dumpTelemetry(JsonReport &Report) {
@@ -205,22 +185,17 @@ int main(int argc, char **argv) {
   g_reps = std::max(1, static_cast<int>(arg_size(argc, argv, "reps", 3)));
   std::string JsonPath = arg_str(argc, argv, "json");
 
-  print_header("scheduler: fork-join overhead, stealing, grain retune");
-  std::printf("n=%zu reps=%d lockfree_sched=%s\n", N, g_reps,
-              par::lockfree_sched() ? "on" : "off");
+  print_header("scheduler: fork-join overhead, stealing, tree ops");
+  std::printf("n=%zu reps=%d\n", N, g_reps);
 
-  JsonReport Report("bench_scheduler", N, g_reps,
-                    par::lockfree_sched() ? "\"lockfree_sched\": true"
-                                          : "\"lockfree_sched\": false");
+  JsonReport Report("bench_scheduler", N, g_reps);
   par::scheduler_stats_reset();
 
   // Fork machinery in isolation.
   runForkOverhead(std::max<size_t>(N, 100000), Report);
   runParallelFor(4 * N, Report);
 
-  // Tree operations at the retuned vs the mutex-era fork grain.
-  for (size_t Grain : {size_t(2048), size_t(8192)})
-    runTreeOpsAtGrain(N, Grain, Report);
+  runTreeOps(N, Report);
 
   dumpTelemetry(Report);
   Report.write(JsonPath);

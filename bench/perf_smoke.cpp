@@ -9,8 +9,7 @@
 // union of two equal-size maps, multi_insert of a 10% batch, and point
 // lookups — each at B=0 (the PAM baseline) and B=128 (the paper's default
 // block size), plus flat-by-flat union/intersect/difference over leaf-sized
-// operands with the streaming cursor fast path ON (flat_*_fast rows) vs the
-// temp_buf array path (flat_*_buf rows). The flat rows run at B in {8, 128}
+// operands (flat_* rows). The flat rows run at B in {8, 128}
 // for the raw, difference and gamma encodings; the union rows produce
 // multi-leaf (~3B-entry) results, exercising the chunked leaf pipeline.
 // The JSON additionally carries a pool_stats section with per-size-class
@@ -97,7 +96,7 @@ template <int B> void runSuite(size_t N, JsonReport &Report) {
         Sink ^= S;
       });
   Report.add("find_random", B, Finds, TFind);
-  print_time_row("find_random", TFind, TFind);
+  print_single_time_row("find_random", TFind);
   if (Sink == 0xdeadbeef)
     std::printf("(sink)\n"); // Defeats dead-code elimination of the finds.
 
@@ -117,14 +116,14 @@ template <int B> void runSuite(size_t N, JsonReport &Report) {
       },
       [&] { Out = Map::from_sorted(std::move(Scratch)); });
   Report.add("build_sorted", B, N, TBuild);
-  print_time_row("build_sorted", TBuild, TBuild);
+  print_single_time_row("build_sorted", TBuild);
 
   // union_equal: expose/unfold/fold churn across the whole output.
   double TUnion = medianPrepared(
       g_reps, [&] { Out = Map(); },
       [&] { Out = Map::map_union(Evens, Odds); });
   Report.add("union_equal", B, 2 * N, TUnion);
-  print_time_row("union_equal", TUnion, TUnion);
+  print_single_time_row("union_equal", TUnion);
 
   // multi_insert: batch sort + merge paths (includes sort, as in Fig. 15).
   double TMulti = medianPrepared(
@@ -135,14 +134,14 @@ template <int B> void runSuite(size_t N, JsonReport &Report) {
       },
       [&] { Out = Evens.multi_insert(std::move(Scratch)); });
   Report.add("multi_insert", B, Batch.size(), TMulti);
-  print_time_row("multi_insert", TMulti, TMulti);
+  print_single_time_row("multi_insert", TMulti);
   Out = Map();
 }
 
-/// Flat-by-flat set operations: many independent leaf-sized operand pairs,
-/// measured with the streaming cursor fast path on (flat_*_fast) and with
-/// the temp_buf array base case (flat_*_buf). At B=0 there are no flat
-/// nodes, so both rows measure the same expose-path control. Two key
+/// Flat-by-flat set operations: many independent leaf-sized operand pairs
+/// through the library's base-case selection (flat_merge_wins /
+/// flat_splice_wins). At B=0 there are no flat nodes, so the rows measure
+/// the expose-path control. Two key
 /// shapes: interleaved (50% overlap, so union, intersect and difference
 /// all have real merge work and combine traffic) and — when \p Runs is
 /// set — range-disjoint operands, the sorted-run/batch-append pattern the
@@ -174,7 +173,6 @@ void runFlatOps(size_t NPairs, JsonReport &Report, const char *Tag = "",
     Bs[P] = Set(KB);
   }
 
-  bool Saved = Set::ops::flat_fastpath();
   size_t Ops = NPairs * 2 * kLeaf; // Entries touched per run.
   char Name[64];
   std::vector<Set> Outs(NPairs);
@@ -182,35 +180,25 @@ void runFlatOps(size_t NPairs, JsonReport &Report, const char *Tag = "",
   if (Runs)
     Kinds = {"union_runs"};
   for (const char *Kind : Kinds) {
-    double Times[2];
-    for (bool Fast : {false, true}) {
-      Set::ops::flat_fastpath() = Fast;
-      uint64_t Sink = 0;
-      // Result teardown happens in the untimed prepare step, matching the
-      // runSuite discipline (the timed region covers the operation only).
-      double T = medianPrepared(
-          g_reps, [&] { std::fill(Outs.begin(), Outs.end(), Set()); },
-          [&] {
-            for (size_t P = 0; P < NPairs; ++P) {
-              Outs[P] = Kind[0] == 'u' ? Set::map_union(As[P], Bs[P])
-                        : Kind[0] == 'i'
-                            ? Set::map_intersect(As[P], Bs[P])
-                            : Set::map_difference(As[P], Bs[P]);
-              Sink ^= Outs[P].size();
-            }
-          });
-      if (Sink == 0xdeadbeef)
-        std::printf("(sink)\n");
-      std::snprintf(Name, sizeof(Name), "flat_%s%s_%s", Kind, Tag,
-                    Fast ? "fast" : "buf");
-      Report.add(Name, B, Ops, T);
-      print_time_row(Name, T, T);
-      Times[Fast] = T;
-    }
-    std::printf("   %s%s: fast path %.2fx vs temp_buf\n", Kind, Tag,
-                Times[1] > 0 ? Times[0] / Times[1] : 0.0);
+    uint64_t Sink = 0;
+    // Result teardown happens in the untimed prepare step, matching the
+    // runSuite discipline (the timed region covers the operation only).
+    double T = medianPrepared(
+        g_reps, [&] { std::fill(Outs.begin(), Outs.end(), Set()); },
+        [&] {
+          for (size_t P = 0; P < NPairs; ++P) {
+            Outs[P] = Kind[0] == 'u'   ? Set::map_union(As[P], Bs[P])
+                      : Kind[0] == 'i' ? Set::map_intersect(As[P], Bs[P])
+                                       : Set::map_difference(As[P], Bs[P]);
+            Sink ^= Outs[P].size();
+          }
+        });
+    if (Sink == 0xdeadbeef)
+      std::printf("(sink)\n");
+    std::snprintf(Name, sizeof(Name), "flat_%s%s", Kind, Tag);
+    Report.add(Name, B, Ops, T);
+    print_single_time_row(Name, T);
   }
-  Set::ops::flat_fastpath() = Saved;
 }
 
 /// Per-size-class pool occupancy after the whole run: allocation traffic,

@@ -12,6 +12,13 @@
 /// consume the receiver's reference, which lets the copy-on-write layer
 /// reuse unshared nodes (Sec. 8's in-place optimization).
 ///
+/// Functors run in parallel: the combine ops of map_union, map_intersect
+/// and multi_insert, filter predicates, and the functors of map_values,
+/// map_reduce and foreach_index may be invoked concurrently from several
+/// scheduler workers, each call on a different entry. They must be safe to
+/// call concurrently — pure, or updating shared state through atomics or a
+/// lock. A combine op still runs exactly once per duplicate key.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef CPAM_API_ORDERED_API_H

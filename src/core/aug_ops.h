@@ -38,7 +38,7 @@ struct aug_ops : map_ops<Entry, EncoderT, BlockSizeB> {
   using MO::join;
   using MO::join2;
   using MO::key_less;
-  using MO::par_gran;
+  using MO::kParGran;
   using MO::size;
 
   static_assert(is_augmented_v<Entry>,
@@ -165,7 +165,7 @@ struct aug_ops : map_ops<Entry, EncoderT, BlockSizeB> {
     exposed X = expose(T);
     node_t *L = nullptr, *R = nullptr;
     par::par_do_if(
-        size(X.L) + size(X.R) >= par_gran(), [&] { L = aug_filter(X.L, P); },
+        size(X.L) + size(X.R) >= kParGran, [&] { L = aug_filter(X.L, P); },
         [&] { R = aug_filter(X.R, P); });
     if (P(Entry::aug_from_entry(X.E)))
       return join(L, std::move(X.E), R);

@@ -25,14 +25,6 @@
 #include "src/core/node.h"
 #include "src/obs/trace.h"
 
-/// Build-time default for the flat-leaf streaming fast paths (see
-/// tree_ops::flat_fastpath). The CMake option CPAM_FLAT_FASTPATH sets it;
-/// both code paths are always compiled so tests and benchmarks can A/B them
-/// at runtime.
-#ifndef CPAM_FLAT_FASTPATH
-#define CPAM_FLAT_FASTPATH 1
-#endif
-
 namespace cpam {
 
 template <class Entry, template <class> class EncoderT, int BlockSizeB>
@@ -62,32 +54,12 @@ struct tree_ops : node_layer<Entry, EncoderT, BlockSizeB> {
   /// fraction kAlphaNum/100. alpha <= 1 - 1/sqrt(2) as required for
   /// join-based rebalancing [Blelloch-Ferizovic-Sun].
   static constexpr size_t kAlphaNum = 29;
-  /// Default fork granularity: subproblems at least this large fork in
-  /// parallel. 2048 entries of tree work (tens of microseconds) against a
-  /// ~19 ns lock-free push+reclaim cycle keeps fork overhead well under 1%
+  /// Fork granularity: subproblems at least this large fork in parallel.
+  /// 2048 entries of tree work (tens of microseconds) against a ~19 ns
+  /// lock-free push+reclaim cycle keeps fork overhead well under 1%
   /// (bench_scheduler "fork_overhead" and the union/build/flatten grain
-  /// A/B rows in BENCH_PR4.json). The mutex-deque scheduler needed 8192
-  /// here — its fork cost measured 2.2x higher (42 ns) and degrades
-  /// further under thief contention.
-  static constexpr size_t kParGranDefault = 2048;
-
-  /// Runtime fork granularity. Mutable (single-threaded setup code only)
-  /// so bench_scheduler can A/B the retuned grain against the legacy 8192
-  /// in one binary; everything below reads it per fork decision.
-  static size_t &par_gran() {
-    static size_t G = kParGranDefault;
-    return G;
-  }
-
-  /// Whether set-operation and splice base cases over flat blocks merge
-  /// cursor-to-cursor (leaf_reader -> leaf_writer), skipping the temp_buf
-  /// flatten/re-encode round trip. Defaults to the CPAM_FLAT_FASTPATH build
-  /// gate; mutable (single-threaded setup code only) so the differential
-  /// suite and the A/B benchmarks can exercise both paths in one binary.
-  static bool &flat_fastpath() {
-    static bool On = CPAM_FLAT_FASTPATH != 0;
-    return On;
-  }
+  /// A/B rows in BENCH_PR4.json).
+  static constexpr size_t kParGran = 2048;
 
   /// True if a node with child weights \p WL, \p WR is weight-balanced.
   static bool balanced(size_t WL, size_t WR) {
@@ -316,7 +288,7 @@ struct tree_ops : node_layer<Entry, EncoderT, BlockSizeB> {
     node_t *L = nullptr, *R = nullptr;
     try {
       par::par_do_if(
-          N >= par_gran(), [&] { L = from_array_move(A, Mid); },
+          N >= kParGran, [&] { L = from_array_move(A, Mid); },
           [&] { R = from_array_move(A + Mid + 1, N - Mid - 1); });
     } catch (...) {
       dec(L);
@@ -355,7 +327,7 @@ struct tree_ops : node_layer<Entry, EncoderT, BlockSizeB> {
     size_t Ls = size(R->Left);
     Out[Ls] = R->E;
     par::par_do_if(
-        T->Size >= par_gran(), [&] { to_array(R->Left, Out); },
+        T->Size >= kParGran, [&] { to_array(R->Left, Out); },
         [&] { to_array(R->Right, Out + Ls + 1); });
   }
 
@@ -723,7 +695,7 @@ struct tree_ops : node_layer<Entry, EncoderT, BlockSizeB> {
       node_t *L = nullptr, *R = nullptr;
       try {
         par::par_do_if(
-            K * kChunk >= par_gran(), [&] { L = build_top(Ls, Ss, Mid); },
+            K * kChunk >= kParGran, [&] { L = build_top(Ls, Ss, Mid); },
             [&] { R = build_top(Ls + Mid, Ss + Mid, K - Mid); });
       } catch (...) {
         dec(L);
@@ -896,7 +868,7 @@ struct tree_ops : node_layer<Entry, EncoderT, BlockSizeB> {
   /// work. 0 disables the parallel path. Runtime-mutable (single-threaded
   /// setup code only) so the differential tests can lower it to force
   /// chunked runs on small inputs and the merge benches can A/B it.
-  static constexpr size_t kParallelMergeGrainDefault = kParGranDefault;
+  static constexpr size_t kParallelMergeGrainDefault = kParGran;
   static size_t &parallel_merge_grain() {
     static size_t G = kParallelMergeGrainDefault;
     return G;
@@ -1031,7 +1003,7 @@ struct tree_ops : node_layer<Entry, EncoderT, BlockSizeB> {
       return {};
     if (is_flat(T)) {
       size_t N = T->Size;
-      if (flat_fastpath() && flat_splice_wins()) {
+      if (flat_splice_wins()) {
         // Leaf splice: stream the block into the two sides, never
         // materializing it (each entry is decoded once on its way out).
         leaf_reader C(T);
@@ -1102,7 +1074,7 @@ struct tree_ops : node_layer<Entry, EncoderT, BlockSizeB> {
     assert(T && "split_last on empty tree");
     if (is_flat(T)) {
       size_t N = T->Size;
-      if (flat_fastpath() && flat_splice_wins()) {
+      if (flat_splice_wins()) {
         // Leaf splice: stream all but the last entry straight into the
         // result block.
         leaf_reader C(T);

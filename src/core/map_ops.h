@@ -13,8 +13,9 @@
 /// base-case granularity kappa (default 8B; configurable for the ablation
 /// study). Base cases whose operands are both flat blocks merge encoded
 /// block to encoded block through streaming cursors (tree_ops::leaf_reader
-/// and leaf_writer) with no intermediate arrays; other shapes flatten into
-/// arrays and merge, as does everything when flat_fastpath() is off.
+/// and leaf_writer) with no intermediate arrays; other shapes, and encodings
+/// where the array merge measures faster (see tree_ops::flat_merge_wins),
+/// flatten into arrays and merge.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -51,7 +52,6 @@ struct map_ops : tree_ops<Entry, EncoderT, BlockSizeB> {
   using split_t = typename TO::split_t;
   using TO::dec;
   using TO::expose;
-  using TO::flat_fastpath;
   using TO::flatten;
   using TO::from_array_move;
   using TO::inc;
@@ -60,7 +60,7 @@ struct map_ops : tree_ops<Entry, EncoderT, BlockSizeB> {
   using TO::join2;
   using TO::kB;
   using TO::kBlocked;
-  using TO::par_gran;
+  using TO::kParGran;
   using TO::lower_bound_idx;
   using TO::node_join;
   using TO::size;
@@ -263,7 +263,7 @@ struct map_ops : tree_ops<Entry, EncoderT, BlockSizeB> {
       return NL::singleton(std::move(E));
     if (is_flat(T)) {
       size_t N = T->Size;
-      if (flat_fastpath() && TO::flat_splice_wins()) {
+      if (TO::flat_splice_wins()) {
         // Leaf splice: copy-prefix / splice / copy-suffix through the
         // cursor pair — no whole-block materialization for a one-entry
         // change. A 2B+1-entry result chunks into two leaves. The reader
@@ -319,7 +319,7 @@ struct map_ops : tree_ops<Entry, EncoderT, BlockSizeB> {
       return nullptr;
     if (is_flat(T)) {
       size_t N = T->Size;
-      if (flat_fastpath() && TO::flat_splice_wins()) {
+      if (TO::flat_splice_wins()) {
         // Leaf splice: stream everything but the matching entry.
         leaf_reader C(T);
         leaf_writer W(N);
@@ -361,8 +361,9 @@ struct map_ops : tree_ops<Entry, EncoderT, BlockSizeB> {
   // Set operations (Fig. 10) with Sec. 8 base cases. Two flat operands
   // merge cursor-to-cursor straight into finished flat nodes (leaf_reader
   // -> leaf_writer, no temp_buf round trip; multi-leaf results are emitted
-  // chunk by chunk); every other base-case shape (and every base case when
-  // flat_fastpath() is off) flattens into arrays.
+  // chunk by chunk); every other base-case shape (and every base case the
+  // flat_merge_wins / flat_splice_wins selectors send to arrays) flattens
+  // into arrays.
   //===--------------------------------------------------------------------===
 
   /// Merges the sorted arrays A[0..N1) and B[0..N2) into \p Out's raw
@@ -601,8 +602,7 @@ struct map_ops : tree_ops<Entry, EncoderT, BlockSizeB> {
   static node_t *union_chunk(entry_t *A, size_t N1, entry_t *B, size_t N2,
                              const CombineOp &Op) {
     if constexpr (TO::leaf_writer::kCanStream) {
-      if (flat_fastpath() && N1 + N2 > 2 * kB &&
-          TO::flat_merge_wins(N1 + N2)) {
+      if (N1 + N2 > 2 * kB && TO::flat_merge_wins(N1 + N2)) {
         if (!probe_runs_degenerate(A, N1, B, N2))
           return merge_arrays_streamed(A, N1, B, N2, Op);
         merge_fallback_count().fetch_add(1, std::memory_order_relaxed);
@@ -822,8 +822,7 @@ struct map_ops : tree_ops<Entry, EncoderT, BlockSizeB> {
   static node_t *union_base(node_t *T1, node_t *T2, const CombineOp &Op) {
     size_t N1 = size(T1), N2 = size(T2);
     if (TO::merge_chunk_count(N1 + N2, std::max(N1, N2)) < 2 &&
-        flat_fastpath() && is_flat(T1) && is_flat(T2) &&
-        TO::flat_merge_wins(N1 + N2))
+        is_flat(T1) && is_flat(T2) && TO::flat_merge_wins(N1 + N2))
       return union_flat(T1, T2, Op);
     node_guard G1(T1), G2(T2);
     temp_buf B1(N1), B2(N2);
@@ -862,7 +861,7 @@ struct map_ops : tree_ops<Entry, EncoderT, BlockSizeB> {
     node_t *L = nullptr, *R = nullptr;
     try {
       par::par_do_if(
-          size(SL) + size(XL) >= par_gran(),
+          size(SL) + size(XL) >= kParGran,
           [&] { L = union_(SL, XL, Op); }, [&] { R = union_(SR, XR, Op); });
     } catch (...) {
       dec(L);
@@ -876,8 +875,7 @@ struct map_ops : tree_ops<Entry, EncoderT, BlockSizeB> {
   static node_t *intersect_base(node_t *T1, node_t *T2, const CombineOp &Op) {
     size_t N1 = size(T1), N2 = size(T2);
     if (TO::merge_chunk_count(N1 + N2, std::max(N1, N2)) < 2 &&
-        flat_fastpath() && is_flat(T1) && is_flat(T2) &&
-        TO::flat_splice_wins())
+        is_flat(T1) && is_flat(T2) && TO::flat_splice_wins())
       return intersect_flat(T1, T2, Op);
     node_guard G1(T1), G2(T2);
     temp_buf B1(N1), B2(N2);
@@ -905,16 +903,15 @@ struct map_ops : tree_ops<Entry, EncoderT, BlockSizeB> {
     node_guard GXL(X.L), GXR(X.R);
     split_t S = split(G1.release(), entry_key(X.E));
     node_guard GSL(S.L), GSR(S.R);
-    std::optional<entry_t> Mid =
-        S.E ? std::optional<entry_t>(
-                  combine_entries(std::move(*S.E), X.E, Op))
-            : std::nullopt;
+    std::optional<entry_t> Mid;
+    if (S.E)
+      Mid.emplace(combine_entries(std::move(*S.E), X.E, Op));
     node_t *SL = GSL.release(), *XL = GXL.release();
     node_t *SR = GSR.release(), *XR = GXR.release();
     node_t *L = nullptr, *R = nullptr;
     try {
       par::par_do_if(
-          size(SL) + size(XL) >= par_gran(),
+          size(SL) + size(XL) >= kParGran,
           [&] { L = intersect(SL, XL, Op); },
           [&] { R = intersect(SR, XR, Op); });
     } catch (...) {
@@ -930,8 +927,7 @@ struct map_ops : tree_ops<Entry, EncoderT, BlockSizeB> {
   static node_t *difference_base(node_t *T1, node_t *T2) {
     size_t N1 = size(T1), N2 = size(T2);
     if (TO::merge_chunk_count(N1 + N2, std::max(N1, N2)) < 2 &&
-        flat_fastpath() && is_flat(T1) && is_flat(T2) &&
-        TO::flat_splice_wins())
+        is_flat(T1) && is_flat(T2) && TO::flat_splice_wins())
       return difference_flat(T1, T2);
     node_guard G1(T1), G2(T2);
     temp_buf B1(N1), B2(N2);
@@ -961,7 +957,7 @@ struct map_ops : tree_ops<Entry, EncoderT, BlockSizeB> {
     node_t *L = nullptr, *R = nullptr;
     try {
       par::par_do_if(
-          size(SL) + size(XL) >= par_gran(),
+          size(SL) + size(XL) >= kParGran,
           [&] { L = difference(SL, XL); }, [&] { R = difference(SR, XR); });
     } catch (...) {
       dec(L);
@@ -990,8 +986,7 @@ struct map_ops : tree_ops<Entry, EncoderT, BlockSizeB> {
       // entries (the batch counts one per element — the old gate priced
       // it in raw bytes, which meant a different threshold here than on
       // the set ops).
-      if (flat_fastpath() && is_flat(T) && TO::flat_merge_wins(Nt + N) &&
-          Nt + N <= 2 * kB) {
+      if (is_flat(T) && TO::flat_merge_wins(Nt + N) && Nt + N <= 2 * kB) {
         // Leaf splice: stream the block against the sorted batch (result
         // fits one leaf; anything wider goes through merge_arrays below).
         leaf_reader C(T);
@@ -1033,7 +1028,7 @@ struct map_ops : tree_ops<Entry, EncoderT, BlockSizeB> {
     node_t *L = nullptr, *R = nullptr;
     try {
       par::par_do_if(
-          size(XL) + size(XR) + N >= par_gran(),
+          size(XL) + size(XR) + N >= kParGran,
           [&] { L = multi_insert_sorted(XL, A, S, Op); },
           [&] {
             R = multi_insert_sorted(XR, A + S + Dup, N - S - Dup, Op);
@@ -1053,7 +1048,7 @@ struct map_ops : tree_ops<Entry, EncoderT, BlockSizeB> {
     if (is_flat(T) || size(T) <= kappa()) {
       size_t Nt = size(T);
       if (TO::merge_chunk_count(Nt + N, std::max(Nt, N)) < 2 &&
-          flat_fastpath() && is_flat(T) && TO::flat_merge_wins(Nt + N)) {
+          is_flat(T) && TO::flat_merge_wins(Nt + N)) {
         // Leaf splice: keys in A are sorted and distinct, so each can match
         // at most one block entry.
         leaf_reader C(T);
@@ -1093,7 +1088,7 @@ struct map_ops : tree_ops<Entry, EncoderT, BlockSizeB> {
     node_t *L = nullptr, *R = nullptr;
     try {
       par::par_do_if(
-          size(X.L) + size(X.R) >= par_gran(),
+          size(X.L) + size(X.R) >= kParGran,
           [&] { L = multi_delete_sorted(X.L, A, S); },
           [&] { R = multi_delete_sorted(X.R, A + S + Hit, N - S - Hit); });
     } catch (...) {
@@ -1116,7 +1111,7 @@ struct map_ops : tree_ops<Entry, EncoderT, BlockSizeB> {
       return nullptr;
     if (is_flat(T)) {
       size_t N = T->Size;
-      if (flat_fastpath() && TO::flat_splice_wins()) {
+      if (TO::flat_splice_wins()) {
         // Stream the block through the cursor pair: each kept entry is
         // decoded once on its way out, nothing is materialized for the
         // dropped ones (|result| <= |T| <= 2B always fits one leaf).
@@ -1148,7 +1143,7 @@ struct map_ops : tree_ops<Entry, EncoderT, BlockSizeB> {
     node_t *L = nullptr, *R = nullptr;
     try {
       par::par_do_if(
-          size(X.L) + size(X.R) >= par_gran(), [&] { L = filter(X.L, P); },
+          size(X.L) + size(X.R) >= kParGran, [&] { L = filter(X.L, P); },
           [&] { R = filter(X.R, P); });
     } catch (...) {
       dec(L);
@@ -1168,7 +1163,7 @@ struct map_ops : tree_ops<Entry, EncoderT, BlockSizeB> {
       return nullptr;
     if (is_flat(T)) {
       size_t N = T->Size;
-      if (flat_fastpath() && TO::flat_splice_wins()) {
+      if (TO::flat_splice_wins()) {
         // Keys pass through untouched (still strictly increasing, as the
         // byte-coded write cursors require); only values are rewritten.
         leaf_reader C(T);
@@ -1192,7 +1187,7 @@ struct map_ops : tree_ops<Entry, EncoderT, BlockSizeB> {
     node_t *L = nullptr, *R = nullptr;
     try {
       par::par_do_if(
-          size(X.L) + size(X.R) >= par_gran(),
+          size(X.L) + size(X.R) >= kParGran,
           [&] { L = map_values(X.L, f); }, [&] { R = map_values(X.R, f); });
     } catch (...) {
       dec(L);
@@ -1223,7 +1218,7 @@ struct map_ops : tree_ops<Entry, EncoderT, BlockSizeB> {
     const auto *R = static_cast<const typename NL::regular_t *>(T);
     T2 A = Identity, B = Identity;
     par::par_do_if(
-        T->Size >= par_gran(),
+        T->Size >= kParGran,
         [&] { A = map_reduce(R->Left, f, Identity, Cmb); },
         [&] { B = map_reduce(R->Right, f, Identity, Cmb); });
     return Cmb(Cmb(A, f(R->E)), B);
@@ -1262,7 +1257,7 @@ struct map_ops : tree_ops<Entry, EncoderT, BlockSizeB> {
     size_t Ls = size(R->Left);
     f(Offset + Ls, R->E);
     par::par_do_if(
-        T->Size >= par_gran(), [&] { foreach_index(R->Left, f, Offset); },
+        T->Size >= kParGran, [&] { foreach_index(R->Left, f, Offset); },
         [&] { foreach_index(R->Right, f, Offset + Ls + 1); });
   }
 

@@ -50,18 +50,11 @@ struct node_layer {
 
   static constexpr size_t kB = BlockSizeB;
   static constexpr bool kBlocked = BlockSizeB > 0;
-  /// Default granularity for parallel destruction/flatten/traversal of
-  /// subtrees. Halved from 4096 when the scheduler moved to lock-free
+  /// Fork granularity for the node-layer parallel walks (dec, flatten,
+  /// build_expanded, size_in_bytes, node_count): subtrees at least this
+  /// large fork. Halved from 4096 when the scheduler moved to lock-free
   /// Chase-Lev deques (a fork now costs ~19 ns; see BENCH_PR4.json).
-  static constexpr size_t kGcGranDefault = 2048;
-
-  /// Runtime granularity for the node-layer parallel walks (dec, flatten,
-  /// build_expanded, size_in_bytes, node_count). Mutable for the grain A/B
-  /// benchmarks (single-threaded setup code only).
-  static size_t &par_gc_gran() {
-    static size_t G = kGcGranDefault;
-    return G;
-  }
+  static constexpr size_t kGcGran = 2048;
 
   //===--------------------------------------------------------------------===
   // Node layouts.
@@ -167,7 +160,7 @@ struct node_layer {
     regular_t *R = static_cast<regular_t *>(T);
     node_t *L = R->Left, *Rt = R->Right;
     free_regular_shell(R);
-    par::par_do_if(size(L) + size(Rt) >= par_gc_gran(), [&] { dec(L); },
+    par::par_do_if(size(L) + size(Rt) >= kGcGran, [&] { dec(L); },
                    [&] { dec(Rt); });
   }
 
@@ -361,7 +354,7 @@ struct node_layer {
     // The two halves write disjoint output ranges, so large subtrees fork
     // (this is what keeps oversized flatten-and-merge base cases — e.g. the
     // ablation study's large-kappa configurations — from serializing).
-    par::par_do_if(N >= par_gc_gran(), [&] { flatten(L, Out); },
+    par::par_do_if(N >= kGcGran, [&] { flatten(L, Out); },
                    [&] { flatten(Rt, Out + Ls + 1); });
     return N;
   }
@@ -380,7 +373,7 @@ struct node_layer {
     // caller's buffer.
     try {
       par::par_do_if(
-          N >= par_gc_gran(), [&] { L = build_expanded(A, Mid); },
+          N >= kGcGran, [&] { L = build_expanded(A, Mid); },
           [&] { R = build_expanded(A + Mid + 1, N - Mid - 1); });
     } catch (...) {
       dec(L);
@@ -415,7 +408,7 @@ struct node_layer {
       return kPayloadOffset + static_cast<const flat_t *>(T)->Bytes;
     const regular_t *R = static_cast<const regular_t *>(T);
     size_t SL = 0, SR = 0;
-    par::par_do_if(T->Size >= par_gc_gran(),
+    par::par_do_if(T->Size >= kGcGran,
                    [&] { SL = size_in_bytes(R->Left); },
                    [&] { SR = size_in_bytes(R->Right); });
     return sizeof(regular_t) + SL + SR;
@@ -429,7 +422,7 @@ struct node_layer {
       return 1;
     const regular_t *R = static_cast<const regular_t *>(T);
     size_t CL = 0, CR = 0;
-    par::par_do_if(T->Size >= par_gc_gran(),
+    par::par_do_if(T->Size >= kGcGran,
                    [&] { CL = node_count(R->Left); },
                    [&] { CR = node_count(R->Right); });
     return 1 + CL + CR;

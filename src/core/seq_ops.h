@@ -35,7 +35,7 @@ struct seq_ops : tree_ops<Entry, EncoderT, BlockSizeB> {
   using TO::is_flat;
   using TO::join;
   using TO::join2;
-  using TO::par_gran;
+  using TO::kParGran;
   using TO::size;
 
   /// Element at position \p I (0-based). O(log n + B) work.
@@ -79,7 +79,7 @@ struct seq_ops : tree_ops<Entry, EncoderT, BlockSizeB> {
       return {T, nullptr};
     if (is_flat(T)) {
       size_t N = T->Size;
-      if (TO::flat_fastpath() && TO::flat_splice_wins()) {
+      if (TO::flat_splice_wins()) {
         // Stream the block into the two sides without materializing it.
         typename TO::leaf_reader C(T);
         typename TO::leaf_writer WL(I), WR(N - I);
@@ -129,8 +129,7 @@ struct seq_ops : tree_ops<Entry, EncoderT, BlockSizeB> {
   /// Concatenation. Consumes both. O(log n + B) work — the headline win
   /// over array sequences in Fig. 2 (arrays need O(n)).
   static node_t *append(node_t *L, node_t *R) {
-    if (TO::flat_fastpath() && is_flat(L) && is_flat(R) &&
-        TO::flat_splice_wins()) {
+    if (is_flat(L) && is_flat(R) && TO::flat_splice_wins()) {
       // Flat x flat: stream both blocks into the chunked writer back to
       // back instead of bouncing L through split_last's temp_buf.
       typename TO::leaf_writer W(size(L) + size(R));
@@ -170,7 +169,7 @@ struct seq_ops : tree_ops<Entry, EncoderT, BlockSizeB> {
       return nullptr;
     if (is_flat(T)) {
       size_t N = T->Size;
-      if (TO::flat_fastpath() && TO::flat_splice_wins()) {
+      if (TO::flat_splice_wins()) {
         // Stream the block through the cursor pair (same discipline as
         // split_at above): each element is decoded once, transformed, and
         // pushed straight into the result leaf.
@@ -193,7 +192,7 @@ struct seq_ops : tree_ops<Entry, EncoderT, BlockSizeB> {
     exposed X = expose(T);
     node_t *L = nullptr, *R = nullptr;
     par::par_do_if(
-        size(X.L) + size(X.R) >= par_gran(), [&] { L = map(X.L, f); },
+        size(X.L) + size(X.R) >= kParGran, [&] { L = map(X.L, f); },
         [&] { R = map(X.R, f); });
     return TO::node_join(L, f(X.E), R);
   }
@@ -217,7 +216,7 @@ struct seq_ops : tree_ops<Entry, EncoderT, BlockSizeB> {
     const auto *R = static_cast<const typename NL::regular_t *>(T);
     T2 A = Identity, B = Identity;
     par::par_do_if(
-        T->Size >= par_gran(),
+        T->Size >= kParGran,
         [&] { A = map_reduce(R->Left, f, Identity, Cmb); },
         [&] { B = map_reduce(R->Right, f, Identity, Cmb); });
     return Cmb(Cmb(A, f(R->E)), B);
@@ -253,7 +252,7 @@ struct seq_ops : tree_ops<Entry, EncoderT, BlockSizeB> {
     exposed X = expose(T);
     node_t *L = nullptr, *R = nullptr;
     par::par_do_if(
-        size(X.L) + size(X.R) >= par_gran(), [&] { L = filter(X.L, P); },
+        size(X.L) + size(X.R) >= kParGran, [&] { L = filter(X.L, P); },
         [&] { R = filter(X.R, P); });
     if (P(X.E))
       return join(L, std::move(X.E), R);

@@ -28,7 +28,10 @@
 ///    BatchWindow updates each) through a caller-supplied apply function
 ///    (e.g. sym_graph::insert_edges / pam_map::multi_insert). Batching
 ///    amortizes the O(log n) structural work across the batch, which is
-///    exactly the regime where PaC-tree multi-inserts win (Thm. 7.1).
+///    exactly the regime where PaC-tree multi-inserts win (Thm. 7.1). A
+///    batch whose apply throws is dropped and counted (stats_t::Failed,
+///    obs counter serving.apply_failed); the chain keeps its last good
+///    version and the writer goes on with the next batch.
 ///
 ///  - versioned_graph<G>: convenience binding of the two for graphs with
 ///    an insert_edges(std::vector<edge_pair>) batch API (sym_graph and
@@ -69,7 +72,8 @@ namespace serving {
 
 /// The serving layer's obs-registry bindings, resolved once: latency
 /// histograms for the three lifecycle verbs (ns domain), the ingest
-/// queue-depth gauge, and the published/reclaimed version counters. Shared
+/// queue-depth gauge, the published/reclaimed version counters and the
+/// count of updates dropped with a failed batch apply. Shared
 /// by every chain/pipeline instance in the process — instance-granular
 /// numbers stay available through the per-object stats accessors.
 struct serving_metrics_t {
@@ -79,6 +83,7 @@ struct serving_metrics_t {
   obs::gauge &QueueDepth;
   obs::counter &Published;
   obs::counter &Reclaimed;
+  obs::counter &ApplyFailed;
   /// High-water mark of retired-but-unreclaimed versions (raw cell:
   /// CAS-maxed by the writer, read by export_json / the watchdog tests).
   std::atomic<uint64_t> &RetiredBacklogHw;
@@ -96,6 +101,7 @@ inline serving_metrics_t &serving_metrics() {
       obs::registry::get().get_gauge("serving.queue_depth"),
       obs::registry::get().get_counter("serving.published"),
       obs::registry::get().get_counter("serving.reclaimed"),
+      obs::registry::get().get_counter("serving.apply_failed"),
       obs::registry::get().raw_counter("serving.retired_backlog_hw"),
       obs::registry::get().raw_counter("serving.stalled_readers")};
   return M;
@@ -454,6 +460,9 @@ public:
   struct stats_t {
     uint64_t Submitted = 0; ///< Updates accepted into the queue.
     uint64_t Applied = 0;   ///< Updates applied and published.
+    /// Updates dropped because their batch's apply (or publish) threw;
+    /// every accepted update ends up in Applied or Failed.
+    uint64_t Failed = 0;
     uint64_t Batches = 0;   ///< Versions published by the writer loop.
     uint64_t FullWaits = 0; ///< Times a submitter waited on a full queue.
     uint64_t Rejected = 0;  ///< Updates refused (RejectNewest / failpoint).
@@ -462,9 +471,9 @@ public:
   };
   stats_t stats() const {
     std::lock_guard<std::mutex> L(M);
-    return {NumSubmitted, NumApplied,  NumBatches,
-            FullWaits,    NumRejected, NumShed,
-            NumDeadlineTimeouts};
+    return {NumSubmitted, NumApplied, NumFailed,
+            NumBatches,   FullWaits,  NumRejected,
+            NumShed,      NumDeadlineTimeouts};
   }
 
 private:
@@ -487,7 +496,8 @@ private:
       }
       NotFull.notify_all();
       serving_metrics().QueueDepth.sub(static_cast<int64_t>(Batch.size()));
-      size_t Applied = Batch.size();
+      size_t Taken = Batch.size();
+      bool Ok = true;
       {
         obs::trace::span S("apply_batch", "serve");
         // Chaos hook: a glacial apply (arg = dwell in ms, default 10)
@@ -496,8 +506,18 @@ private:
         if (CPAM_FAILPOINT_ACTIVE("serving.slow_apply"))
           std::this_thread::sleep_for(
               std::chrono::milliseconds(fail::arg("serving.slow_apply", 10)));
-        Tip = Apply(Tip, std::move(Batch));
-        Chain.publish(Tip);
+        // A throwing apply (bad_alloc, an armed alloc.node) must not
+        // escape the writer thread, where it would terminate the process.
+        // The batch is dropped and counted; the chain and Tip keep the
+        // last good version, so later batches build on what readers see.
+        try {
+          T Next = Apply(Tip, std::move(Batch));
+          Chain.publish(Next);
+          Tip = std::move(Next);
+        } catch (...) {
+          Ok = false;
+          serving_metrics().ApplyFailed.inc(Taken);
+        }
       }
       // Watchdog sweep, once per batch off the reader path: publish the
       // current stalled-reader count so export_json / bench_serving can
@@ -510,8 +530,12 @@ private:
       {
         std::lock_guard<std::mutex> L(M);
         Applying = false;
-        NumApplied += Applied;
-        ++NumBatches;
+        if (Ok) {
+          NumApplied += Taken;
+          ++NumBatches;
+        } else {
+          NumFailed += Taken;
+        }
       }
       Drained.notify_all();
     }
@@ -529,8 +553,9 @@ private:
   std::deque<U> Pending;
   bool Stopping = false;
   bool Applying = false;
-  uint64_t NumSubmitted = 0, NumApplied = 0, NumBatches = 0, FullWaits = 0;
-  uint64_t NumRejected = 0, NumShed = 0, NumDeadlineTimeouts = 0;
+  uint64_t NumSubmitted = 0, NumApplied = 0, NumFailed = 0, NumBatches = 0;
+  uint64_t FullWaits = 0, NumRejected = 0, NumShed = 0;
+  uint64_t NumDeadlineTimeouts = 0;
 
   std::thread Writer;
 };

@@ -179,8 +179,6 @@ struct SizeGuard {
 /// the two byte-coded encoders that stream through seal (raw blocks stage
 /// entries and finish via from_array_move, so seal never runs for them).
 template <class SetT> void runLeafSealChaos(uint64_t Salt) {
-  test::FlagGuard G(SetT::ops::flat_fastpath());
-  SetT::ops::flat_fastpath() = true;
   // At B=8 every leaf-pair merge is under the 128-entry streaming
   // break-even and would take the array path; pin the break-even to zero
   // so the chunk writer (the code under test) runs for every base case.
@@ -253,8 +251,6 @@ TEST_F(ChaosLeakTest, CombinedChaosEpisode) {
   fail::scoped_arm A2("leaf.seal", "every=400");
   fail::scoped_arm A3("sched.fork", "p=3/seed=72");
   using SetT = pam_set<uint64_t, 8>;
-  test::FlagGuard G(SetT::ops::flat_fastpath());
-  SetT::ops::flat_fastpath() = true;
   SizeGuard MG(SetT::ops::flat_stream_min_entries(), 0);
   Rng R = test::seeded_rng(9);
   constexpr uint64_t kUniverse = 100000;
@@ -369,6 +365,44 @@ TEST_F(ChaosLeakTest, SlowApplyEngagesBackpressure) {
     // one-core box it may not be scheduled until the submit loop ends).
     EXPECT_GT(fail::fires("serving.slow_apply"), 0u);
     EXPECT_EQ(Chain.acquire().size(), Accepted);
+    Pipe.stop();
+    Chain.reclaim();
+  }
+}
+
+/// A throwing apply ("alloc.node" armed while the writer runs) must not
+/// take the process down: each failed batch is dropped and counted, the
+/// chain keeps its last good version, flush() still returns, and every
+/// accepted update is accounted for exactly once.
+TEST_F(ChaosLeakTest, ThrowingApplyDropsBatchAndKeepsLastGoodVersion) {
+  {
+    serving::version_chain<u64_set> Chain(u64_set{});
+    u64_pipeline::options O;
+    O.BatchWindow = 64;
+    u64_pipeline Pipe(Chain, unionApply(), O);
+    uint64_t Accepted = 0;
+    {
+      fail::scoped_arm Arm("alloc.node", "p=40/seed=13");
+      for (uint64_t I = 0; I < 4000; ++I)
+        Accepted += Pipe.submit(I) ? 1 : 0;
+      Pipe.flush();
+      EXPECT_GT(fail::fires("alloc.node"), 0u);
+    }
+    auto St = Pipe.stats();
+    EXPECT_EQ(St.Submitted, Accepted);
+    EXPECT_EQ(Accepted, St.Applied + St.Failed);
+    EXPECT_GT(St.Failed, 0u) << "no batch apply hit an injected failure";
+    // Keys are distinct, so the last good version holds exactly the
+    // updates of the batches that applied.
+    u64_set Last = Chain.acquire();
+    EXPECT_EQ(Last.size(), St.Applied);
+    EXPECT_EQ(Last.check_invariants(), "");
+    // The writer survives its failures: the next batch applies on top of
+    // the last good version.
+    EXPECT_TRUE(Pipe.submit(1'000'000));
+    Pipe.flush();
+    EXPECT_EQ(Chain.acquire().size(), St.Applied + 1);
+    EXPECT_EQ(Pipe.stats().Applied, St.Applied + 1);
     Pipe.stop();
     Chain.reclaim();
   }

@@ -9,8 +9,7 @@
 /// remove / union / intersect / difference / multi_insert / multi_delete
 /// driven simultaneously against a PaC-tree and a std::map / std::set
 /// oracle, at block sizes B in {0, 8, 128} (PAM baseline, small blocks, the
-/// paper default) and with the flat-leaf streaming fast paths both on and
-/// off in the same binary. After every step the tree must satisfy the
+/// paper default). After every step the tree must satisfy the
 /// Def. 4.1 invariants and agree elementwise (keys *and* combined values)
 /// with the oracle. PAM (Sun et al.) defines the uncompressed semantics the
 /// compressed fast paths must preserve exactly; this suite is what licenses
@@ -209,14 +208,8 @@ template <class MapT> void runMapEpisode(Rng R) {
   }
 }
 
-TYPED_TEST(DifferentialMapTest, RandomOpsMatchStdMapBothFastPathSettings) {
-  test::FlagGuard G(TypeParam::ops::flat_fastpath());
-  for (bool Fast : {false, true}) {
-    TypeParam::ops::flat_fastpath() = Fast;
-    runMapEpisode<TypeParam>(test::seeded_rng(Fast));
-    if (this->HasFatalFailure())
-      break;
-  }
+TYPED_TEST(DifferentialMapTest, RandomOpsMatchStdMap) {
+  runMapEpisode<TypeParam>(test::seeded_rng(1));
 }
 
 //===----------------------------------------------------------------------===//
@@ -318,14 +311,7 @@ template <class MapT> void runMapChaosEpisode(Rng R, uint64_t Salt) {
 }
 
 TYPED_TEST(DifferentialMapTest, AllocChaosLeavesOperandsIntact) {
-  test::FlagGuard G(TypeParam::ops::flat_fastpath());
-  for (bool Fast : {false, true}) {
-    TypeParam::ops::flat_fastpath() = Fast;
-    runMapChaosEpisode<TypeParam>(test::seeded_rng(Fast ? 55 : 66),
-                                  Fast ? 17 : 29);
-    if (this->HasFatalFailure())
-      break;
-  }
+  runMapChaosEpisode<TypeParam>(test::seeded_rng(55), 17);
 }
 
 //===----------------------------------------------------------------------===//
@@ -428,14 +414,8 @@ template <class SetT> void runSetEpisode(Rng R) {
   }
 }
 
-TYPED_TEST(DifferentialSetTest, RandomOpsMatchStdSetBothFastPathSettings) {
-  test::FlagGuard G(TypeParam::ops::flat_fastpath());
-  for (bool Fast : {false, true}) {
-    TypeParam::ops::flat_fastpath() = Fast;
-    runSetEpisode<TypeParam>(test::seeded_rng(Fast));
-    if (this->HasFatalFailure())
-      break;
-  }
+TYPED_TEST(DifferentialSetTest, RandomOpsMatchStdSet) {
+  runSetEpisode<TypeParam>(test::seeded_rng(1));
 }
 
 /// Set-typed allocation chaos: same contract as the map episode, typed
@@ -516,14 +496,7 @@ template <class SetT> void runSetChaosEpisode(Rng R, uint64_t Salt) {
 }
 
 TYPED_TEST(DifferentialSetTest, AllocChaosLeavesOperandsIntact) {
-  test::FlagGuard G(TypeParam::ops::flat_fastpath());
-  for (bool Fast : {false, true}) {
-    TypeParam::ops::flat_fastpath() = Fast;
-    runSetChaosEpisode<TypeParam>(test::seeded_rng(Fast ? 77 : 88),
-                                  Fast ? 41 : 53);
-    if (this->HasFatalFailure())
-      break;
-  }
+  runSetChaosEpisode<TypeParam>(test::seeded_rng(77), 41);
 }
 
 //===----------------------------------------------------------------------===//
@@ -605,14 +578,8 @@ template <class SetT> void runMultiLeafEpisode(Rng R) {
   }
 }
 
-TYPED_TEST(DifferentialSetTest, MultiLeafChunkedResultsBothFastPathSettings) {
-  test::FlagGuard G(TypeParam::ops::flat_fastpath());
-  for (bool Fast : {false, true}) {
-    TypeParam::ops::flat_fastpath() = Fast;
-    runMultiLeafEpisode<TypeParam>(test::seeded_rng(Fast ? 11 : 22));
-    if (this->HasFatalFailure())
-      break;
-  }
+TYPED_TEST(DifferentialSetTest, MultiLeafChunkedResults) {
+  runMultiLeafEpisode<TypeParam>(test::seeded_rng(11));
 }
 
 //===----------------------------------------------------------------------===//
@@ -747,13 +714,7 @@ template <class SetT> void runParallelMergeEpisode(Rng R) {
 }
 
 TYPED_TEST(DifferentialSetTest, ParallelMergeMatchesInlineRunAndOracle) {
-  test::FlagGuard G(TypeParam::ops::flat_fastpath());
-  for (bool Fast : {false, true}) {
-    TypeParam::ops::flat_fastpath() = Fast;
-    runParallelMergeEpisode<TypeParam>(test::seeded_rng(Fast ? 33 : 44));
-    if (this->HasFatalFailure())
-      break;
-  }
+  runParallelMergeEpisode<TypeParam>(test::seeded_rng(33));
   par::set_sequential(false);
 }
 
@@ -765,8 +726,6 @@ TYPED_TEST(DifferentialSetTest, ParallelMergeMatchesInlineRunAndOracle) {
 /// oracle exactly.
 TYPED_TEST(DifferentialSetTest, DenseInterleavedMergeTriggersRunFallback) {
   using ops = typename TypeParam::ops;
-  test::FlagGuard G(ops::flat_fastpath());
-  ops::flat_fastpath() = true;
   test::ValueGuard<size_t> GKappa(ops::kappa());
   ops::kappa() = size_t{1} << 20;
 
