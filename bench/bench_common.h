@@ -93,7 +93,7 @@ inline std::string arg_str(int argc, char **argv, const char *Name) {
 class JsonReport {
 public:
   /// \p ExtraConfig, when nonempty, is spliced verbatim into the config
-  /// object (e.g. "\"workers\": [1, 2, 4]").
+  /// object (e.g. "\"logn\": 13").
   JsonReport(const char *Tool, size_t N, int Reps,
              const std::string &ExtraConfig = std::string()) {
     char Buf[384];

@@ -13,9 +13,10 @@
 /// base-case granularity kappa (default 8B; configurable for the ablation
 /// study). Base cases whose operands are both flat blocks merge encoded
 /// block to encoded block through streaming cursors (tree_ops::leaf_reader
-/// and leaf_writer) with no intermediate arrays; other shapes, and encodings
-/// where the array merge measures faster (see tree_ops::flat_merge_wins),
-/// flatten into arrays and merge.
+/// and leaf_writer) with no intermediate arrays; other shapes, and the
+/// merges tree_ops::flat_merge_wins sends to arrays (augmented trees,
+/// byte-coded merges below the measured break-even), flatten into arrays
+/// and merge.
 ///
 //===----------------------------------------------------------------------===//
 

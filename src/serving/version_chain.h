@@ -425,7 +425,7 @@ public:
   }
 
   /// Blocks until every update submitted before the call has been applied
-  /// and published.
+  /// and published, or dropped with a batch whose apply threw.
   void flush() {
     std::unique_lock<std::mutex> L(M);
     Drained.wait(L, [&] { return (Pending.empty() && !Applying) || Stopping; });
