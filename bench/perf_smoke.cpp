@@ -5,13 +5,14 @@
 //===----------------------------------------------------------------------===//
 //
 // The repo's recorded performance trajectory: a small, fixed workload over
-// the four node-churn-heavy core operations — build from sorted input,
-// union of two equal-size maps, multi_insert of a 10% batch, and point
-// lookups — each at B=0 (the PAM baseline) and B=128 (the paper's default
-// block size), plus flat-by-flat union/intersect/difference over leaf-sized
-// operands (flat_* rows). The flat rows run at B in {8, 128}
-// for the raw, difference and gamma encodings; the union rows produce
-// multi-leaf (~3B-entry) results, exercising the chunked leaf pipeline.
+// the five node-churn-heavy core operations — build from sorted input,
+// union of two equal-size maps, multi_insert and multi_delete of a 10%
+// batch, and point lookups — each at B=0 (the PAM baseline) and B=128
+// (the paper's default block size), plus flat-by-flat
+// union/intersect/difference over leaf-sized operands (flat_* rows). The
+// flat rows run at B in {8, 128} for the raw, difference and gamma
+// encodings; the union rows produce multi-leaf (~3B-entry) results,
+// exercising the chunked leaf pipeline.
 // The JSON additionally carries a pool_stats section with per-size-class
 // occupancy columns from pool_allocator::stats(). Emits machine-readable
 // JSON with --json=<path>; CI runs this on every push and uploads the file,
@@ -135,6 +136,21 @@ template <int B> void runSuite(size_t N, JsonReport &Report) {
       [&] { Out = Evens.multi_insert(std::move(Scratch)); });
   Report.add("multi_insert", B, Batch.size(), TMulti);
   print_single_time_row("multi_insert", TMulti);
+
+  // multi_delete: the same batch's keys (about half present), sort + dedup
+  // included.
+  std::vector<uint64_t> DelKeys(Batch.size()), DelScratch;
+  for (size_t I = 0; I < Batch.size(); ++I)
+    DelKeys[I] = Batch[I].first;
+  double TDelete = medianPrepared(
+      g_reps,
+      [&] {
+        Out = Map();
+        DelScratch = DelKeys;
+      },
+      [&] { Out = Evens.multi_delete(std::move(DelScratch)); });
+  Report.add("multi_delete", B, DelKeys.size(), TDelete);
+  print_single_time_row("multi_delete", TDelete);
   Out = Map();
 }
 

@@ -166,7 +166,9 @@ public:
   //===--------------------------------------------------------------------===
 
   /// Inserts a batch (unsorted, possibly duplicated keys; duplicates are
-  /// combined left-to-right, then with the stored value via \p Op).
+  /// combined left-to-right, then with the stored value via \p Op). The
+  /// batch is stably sorted by key, so left to right is batch order: with
+  /// take_right the last write of a key wins.
   template <class CombineOp = take_right>
   Derived multi_insert(std::vector<entry_t> Batch,
                        const CombineOp &Op = CombineOp()) const {
@@ -181,9 +183,10 @@ public:
     return Derived(Ops::multi_insert_sorted(Ops::inc(Root), Batch.data(),
                                             Batch.size(), Op));
   }
+  /// Deletes a batch of keys (unsorted, repeats allowed; absent keys are
+  /// ignored). The keys are stably sorted under the tree's comparator.
   Derived multi_delete(std::vector<key_t> Keys) const {
-    par::sort(Keys);
-    size_t K = par::unique(Keys.data(), Keys.size());
+    size_t K = Ops::sort_unique_keys(Keys.data(), Keys.size());
     return Derived(Ops::multi_delete_sorted(Ops::inc(Root), Keys.data(), K));
   }
   /// Sorted, distinct key batch (no resort).

@@ -39,6 +39,7 @@ template <class K, class V, class Less = std::less<K>> struct map_entry {
   using val_t = V;
   using entry_t = std::pair<K, V>;
   using aug_t = no_aug;
+  using less_t = Less;
   static constexpr bool has_val = true;
   static const key_t &get_key(const entry_t &E) { return E.first; }
   static const val_t &get_val(const entry_t &E) { return E.second; }
@@ -52,10 +53,32 @@ template <class K, class Less = std::less<K>> struct set_entry {
   using val_t = no_aug; // No associated value.
   using entry_t = K;
   using aug_t = no_aug;
+  using less_t = Less;
   static constexpr bool has_val = false;
   static const key_t &get_key(const entry_t &E) { return E; }
   static bool comp(const key_t &A, const key_t &B) { return Less()(A, B); }
 };
+
+namespace detail {
+template <class Entry> struct comp_less {
+  bool operator()(const typename Entry::key_t &A,
+                  const typename Entry::key_t &B) const {
+    return Entry::comp(A, B);
+  }
+};
+template <class Entry> auto entry_less_of() {
+  if constexpr (requires { typename Entry::less_t; })
+    return typename Entry::less_t();
+  else
+    return comp_less<Entry>();
+}
+} // namespace detail
+
+/// Key comparator of \p Entry as a function object: Entry::less_t where
+/// the entry declares one (map_entry, set_entry and the entries derived
+/// from them), else a wrapper over Entry::comp.
+template <class Entry>
+using entry_less_t = decltype(detail::entry_less_of<Entry>());
 
 /// True iff Entry declares a real augmented value.
 template <class Entry>

@@ -1285,34 +1285,24 @@ struct map_ops : tree_ops<Entry, EncoderT, BlockSizeB> {
   // Build from unsorted input.
   //===--------------------------------------------------------------------===
 
-  /// Sorts A by key and combines duplicate keys left-to-right with \p Op;
-  /// returns the deduplicated length.
+  /// Stably sorts A by key and combines duplicate keys left-to-right with
+  /// \p Op; returns the deduplicated length.
   template <class CombineOp = take_right>
   static size_t sort_and_combine(entry_t *A, size_t N,
                                  const CombineOp &Op = CombineOp()) {
-    par::sort(A, N, [](const entry_t &X, const entry_t &Y) {
-      return key_less(entry_key(X), entry_key(Y));
-    });
-    if (N == 0)
-      return 0;
-    // Find runs of equal keys in parallel, combine each run left-to-right.
-    std::vector<size_t> Starts(N);
-    size_t K = par::pack_index(
-        N,
-        [&](size_t I) {
-          return I == 0 || key_less(entry_key(A[I - 1]), entry_key(A[I]));
-        },
-        Starts.data());
-    std::vector<entry_t> Out(K);
-    par::parallel_for(0, K, [&](size_t R) {
-      size_t Lo = Starts[R], Hi = R + 1 < K ? Starts[R + 1] : N;
-      entry_t Acc = std::move(A[Lo]);
-      for (size_t I = Lo + 1; I < Hi; ++I)
-        Acc = combine_entries(std::move(Acc), A[I], Op);
-      Out[R] = std::move(Acc);
-    });
-    par::parallel_for(0, K, [&](size_t I) { A[I] = std::move(Out[I]); });
-    return K;
+    return par::sort_combine_by_key(
+        A, N, entry_key, entry_less_t<Entry>(),
+        [&](entry_t &Acc, const entry_t &E) {
+          if constexpr (Entry::has_val)
+            Entry::get_val(Acc) = Op(Entry::get_val(Acc), Entry::get_val(E));
+        });
+  }
+
+  /// Sorts the keys K[0..N) and drops repeats; returns the distinct count.
+  static size_t sort_unique_keys(key_t *K, size_t N) {
+    return par::sort_combine_by_key(
+        K, N, [](const key_t &X) -> const key_t & { return X; },
+        entry_less_t<Entry>(), [](key_t &, const key_t &) {});
   }
 
   /// Builds a tree from \p N unsorted entries with possible duplicate keys.

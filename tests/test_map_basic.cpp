@@ -9,6 +9,7 @@
 #include "gtest/gtest.h"
 
 #include "src/api/pam_map.h"
+#include "src/api/pam_set.h"
 #include "src/encoding/diff_encoder.h"
 #include "src/parallel/random.h"
 #include "tests/test_common.h"
@@ -252,6 +253,92 @@ TYPED_TEST(MapBasicTest, LargeBuildParallel) {
   EXPECT_EQ(M.check_invariants(), "");
   EXPECT_EQ(M.size(), N); // hash64 is a bijection: no duplicate keys.
   EXPECT_TRUE(M.contains(hash64(12345)));
+}
+
+//===----------------------------------------------------------------------===
+// In-batch duplicates combine left to right.
+//===----------------------------------------------------------------------===
+
+class BatchCombineOrder : public test::LeakCheckTest {};
+
+/// \p Keys distinct keys (hash64 is a bijection, so about half have bit 63
+/// set), each written three times with increasing values. Round R holds
+/// every key once, rotated by 7R, so a key's three writes are far apart.
+std::vector<std::pair<uint64_t, uint64_t>> threeWrites(size_t Keys) {
+  std::vector<std::pair<uint64_t, uint64_t>> Batch;
+  for (uint64_t R = 0; R < 3; ++R)
+    for (size_t I = 0; I < Keys; ++I) {
+      size_t J = (I + 7 * R) % Keys;
+      Batch.push_back({hash64(J), 1000 * J + R});
+    }
+  return Batch;
+}
+
+/// With take_right the last of a key's writes wins: value 1000 * J + 2.
+template <class MapT> void expectLastWriteWins(const MapT &M, size_t Keys) {
+  ASSERT_EQ(M.check_invariants(), "");
+  for (size_t J = 0; J < Keys; ++J) {
+    auto V = M.find(hash64(J));
+    ASSERT_TRUE(V.has_value()) << "key " << J;
+    ASSERT_EQ(*V, 1000 * J + 2) << "key " << J;
+  }
+}
+
+/// multi_insert over a map that already holds every key, and the
+/// constructor, each at a 99-entry batch (sequential sort) and a
+/// 9999-entry batch (parallel sort).
+template <class MapT> void checkBatchCombineOrder() {
+  for (size_t Keys : {33u, 3333u}) {
+    SCOPED_TRACE("batch of " + std::to_string(3 * Keys));
+    std::vector<std::pair<uint64_t, uint64_t>> Old;
+    for (size_t J = 0; J < Keys; ++J)
+      Old.push_back({hash64(J), 7});
+    MapT M0(Old);
+    MapT M1 = M0.multi_insert(threeWrites(Keys));
+    EXPECT_EQ(M1.size(), Keys);
+    expectLastWriteWins(M1, Keys);
+    MapT M2(threeWrites(Keys));
+    EXPECT_EQ(M2.size(), Keys);
+    expectLastWriteWins(M2, Keys);
+  }
+}
+
+TEST_F(BatchCombineOrder, LastWriteWinsRadixKeys) {
+  checkBatchCombineOrder<pam_map<uint64_t, uint64_t>>();
+}
+
+TEST_F(BatchCombineOrder, LastWriteWinsComparisonFallback) {
+  checkBatchCombineOrder<
+      pam_map<uint64_t, uint64_t, 128, raw_encoder, std::greater<uint64_t>>>();
+}
+
+/// multi_delete sorts its keys under the set's own comparator and drops
+/// repeats: every key three times, plus absent keys, for both orders.
+template <class SetT> void checkMultiDeleteRepeats() {
+  for (size_t N : {60u, 30000u}) {
+    SCOPED_TRACE("set of " + std::to_string(N));
+    std::vector<uint64_t> Keys(N);
+    for (size_t I = 0; I < N; ++I)
+      Keys[I] = hash64(I);
+    SetT S(Keys);
+    std::vector<uint64_t> Del;
+    for (uint64_t R = 0; R < 3; ++R)
+      for (size_t I = 0; I < N; I += 2)
+        Del.push_back(hash64((I + 14 * R) % N / 2 * 2));
+    for (size_t I = 0; I < N / 4; ++I)
+      Del.push_back(hash64(N + I)); // Absent.
+    SetT T = S.multi_delete(Del);
+    ASSERT_EQ(T.check_invariants(), "");
+    EXPECT_EQ(T.size(), N / 2);
+    for (size_t I = 0; I < N; ++I)
+      ASSERT_EQ(T.contains(hash64(I)), I % 2 == 1) << "key " << I;
+  }
+}
+
+TEST_F(BatchCombineOrder, MultiDeleteDropsRepeatedKeys) {
+  checkMultiDeleteRepeats<pam_set<uint64_t>>();
+  checkMultiDeleteRepeats<
+      pam_set<uint64_t, 128, raw_encoder, std::greater<uint64_t>>>();
 }
 
 class MapMemory : public test::LeakCheckTest {};

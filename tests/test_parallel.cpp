@@ -5,6 +5,7 @@
 //===----------------------------------------------------------------------===//
 
 #include <atomic>
+#include <functional>
 #include <numeric>
 #include <set>
 #include <thread>
@@ -177,6 +178,140 @@ TEST(Primitives, SortCustomComparator) {
   par::sort(V, std::greater<int>());
   for (size_t I = 1; I < V.size(); ++I)
     ASSERT_GE(V[I - 1], V[I]);
+}
+
+/// (key, payload) records; the payload is the input position, so any
+/// reordering of equal keys shows up in a comparison with std::stable_sort.
+template <class K> using Rec = std::pair<K, uint64_t>;
+
+template <class K>
+std::vector<Rec<K>> withPositions(size_t N,
+                                  const std::function<K(size_t)> &Key) {
+  std::vector<Rec<K>> V(N);
+  for (size_t I = 0; I < N; ++I)
+    V[I] = {Key(I), I};
+  return V;
+}
+
+template <class K, class Less = std::less<K>>
+void expectStableByKey(std::vector<Rec<K>> V, Less Lt = Less()) {
+  auto Expect = V;
+  std::stable_sort(Expect.begin(), Expect.end(),
+                   [&](const Rec<K> &A, const Rec<K> &B) {
+                     return Lt(A.first, B.first);
+                   });
+  par::sort_by_key(
+      V.data(), V.size(), [](const Rec<K> &E) { return E.first; }, Lt);
+  ASSERT_EQ(V, Expect);
+}
+
+static_assert(par::radix_sortable_v<uint64_t, std::less<uint64_t>>);
+static_assert(par::radix_sortable_v<uint16_t, std::less<uint16_t>>);
+static_assert(!par::radix_sortable_v<int64_t, std::less<int64_t>>);
+static_assert(!par::radix_sortable_v<uint64_t, std::greater<uint64_t>>);
+
+TEST(Primitives, SortByKeyIsStable) {
+  for (size_t N : {0u, 1u, 2048u, 2049u, 1000000u}) {
+    SCOPED_TRACE("N=" + std::to_string(N));
+    // Random 64-bit keys (half have bit 63 set), 40-bit keys, keys with
+    // only their top 6 bits set and 16-bit keys: 8, 5, 8 and 2 radix
+    // passes, so the result lands in either buffer. Then ties.
+    expectStableByKey(withPositions<uint64_t>(N, hash64));
+    expectStableByKey(withPositions<uint64_t>(
+        N, [](size_t I) { return hash64(I) >> 24 | uint64_t(1) << 39; }));
+    expectStableByKey(withPositions<uint64_t>(
+        N, [](size_t I) { return hash64(I) % 64 << 58; }));
+    expectStableByKey(withPositions<uint16_t>(
+        N, [](size_t I) { return static_cast<uint16_t>(hash64(I)); }));
+    expectStableByKey(
+        withPositions<uint64_t>(N, [](size_t) { return uint64_t(0); }));
+    expectStableByKey(
+        withPositions<uint64_t>(N, [](size_t) { return ~uint64_t(0); }));
+    expectStableByKey(
+        withPositions<uint64_t>(N, [](size_t I) { return I / 3; }));
+    expectStableByKey(
+        withPositions<uint64_t>(N, [&](size_t I) { return (N - I) / 3; }));
+  }
+}
+
+TEST(Primitives, SortByKeyComparisonFallbackIsStable) {
+  for (size_t N : {0u, 1u, 2048u, 2049u, 1000000u}) {
+    SCOPED_TRACE("N=" + std::to_string(N));
+    // Signed keys take the merge sort: a radix pass over their bits would
+    // put the negative keys last.
+    expectStableByKey(withPositions<int64_t>(N, [](size_t I) {
+      return static_cast<int64_t>(hash64(I)) % 1000;
+    }));
+    expectStableByKey(withPositions<uint64_t>(N, [](size_t I) {
+      return hash64(I) % 1000;
+    }), std::greater<uint64_t>());
+  }
+}
+
+TEST(Primitives, SortGreaterIsStable) {
+  for (size_t N : {100u, 2049u, 300000u}) {
+    auto V =
+        withPositions<uint64_t>(N, [](size_t I) { return hash64(I) % 97; });
+    auto ByKeyDesc = [](const Rec<uint64_t> &A, const Rec<uint64_t> &B) {
+      return std::greater<uint64_t>()(A.first, B.first);
+    };
+    auto Expect = V;
+    std::stable_sort(Expect.begin(), Expect.end(), ByKeyDesc);
+    par::sort(V, ByKeyDesc);
+    ASSERT_EQ(V, Expect) << "N=" << N;
+  }
+}
+
+TEST(Primitives, MergeIsStableForEitherLargerRun) {
+  auto ByKey = [](const Rec<uint64_t> &A, const Rec<uint64_t> &B) {
+    return A.first < B.first;
+  };
+  for (auto [Na, Nb] : {std::pair<size_t, size_t>{50000, 7000},
+                        std::pair<size_t, size_t>{7000, 50000}}) {
+    auto A = withPositions<uint64_t>(Na, [](size_t I) { return I / 10; });
+    auto B = withPositions<uint64_t>(Nb, [](size_t I) { return I / 10; });
+    for (auto &E : B)
+      E.second += 1000000; // B's records are told apart from A's.
+    std::vector<Rec<uint64_t>> Out(Na + Nb), Expect(Na + Nb);
+    par::merge(A.data(), Na, B.data(), Nb, Out.data(), ByKey);
+    std::merge(A.begin(), A.end(), B.begin(), B.end(), Expect.begin(), ByKey);
+    ASSERT_EQ(Out, Expect) << "Na=" << Na << " Nb=" << Nb;
+  }
+}
+
+TEST(Primitives, SortCombineByKeyFoldsLeftToRight) {
+  for (size_t N : {10u, 1000u, 5000u, 1000000u}) {
+    for (int Bits : {16, 40, 64}) {
+      SCOPED_TRACE("N=" + std::to_string(N) + " bits=" + std::to_string(Bits));
+      const size_t Distinct = N / 5 + 1;
+      auto V = withPositions<uint64_t>(N, [&](size_t I) {
+        uint64_t K = hash64(I % Distinct);
+        return Bits == 64 ? K : K >> (64 - Bits);
+      });
+      // The fold is order-sensitive: it records positions as digits.
+      auto Cmb = [](Rec<uint64_t> &Acc, const Rec<uint64_t> &E) {
+        Acc.second = Acc.second * 1000003 + E.second;
+      };
+      auto Expect = V;
+      std::stable_sort(Expect.begin(), Expect.end(),
+                       [](const auto &A, const auto &B) {
+                         return A.first < B.first;
+                       });
+      size_t K = 0;
+      for (size_t I = 0; I < N; ++K) {
+        Rec<uint64_t> Acc = Expect[I];
+        for (++I; I < N && Expect[I].first == Acc.first; ++I)
+          Cmb(Acc, Expect[I]);
+        Expect[K] = Acc;
+      }
+      Expect.resize(K);
+      size_t Got = par::sort_combine_by_key(
+          V.data(), N, [](const Rec<uint64_t> &E) { return E.first; },
+          std::less<uint64_t>(), Cmb);
+      V.resize(Got);
+      ASSERT_EQ(V, Expect);
+    }
+  }
 }
 
 TEST(Primitives, UniqueSorted) {
