@@ -1,26 +1,16 @@
-//===- bench_merge.cpp - Parallel flat-merge and fallback benchmarks -------===//
+//===- bench_merge.cpp - Dense-interleaved merge fallback benchmark --------===//
 //
 // Part of the CPAM reproduction of PaC-trees (PLDI 2022).
 //
 //===----------------------------------------------------------------------===//
 //
-// The PR 6 merge benchmarks, two families:
-//
-//  dense_*: the dense 50%-interleaved union shape that regressed under the
-//  streamed galloping merge (winner runs of length ~1 defeat galloping, and
-//  byte-coded leaves pay per-entry encode overhead on top). Measured two
-//  ways per (B, encoding): the run-length-adaptive merge (default) and the
-//  same merge with the fallback probe disabled (merge_probe_window=0 — the
-//  pre-PR6 behavior).
-//
-//  scale_*: one large flat-by-flat union driven through tree_ops::
-//  parallel_flat_merge (kappa raised so the whole operands reach the flat
-//  base case), with the quantile split disabled (parallel_merge_grain=0 ->
-//  one sequential streamed merge, the PR 5 single-worker encode bottleneck)
-//  vs enabled (default grain -> up to kMaxMergeChunks chunk merges under
-//  parDo forks). Run under CPAM_NUM_THREADS=1/2/4 to record the scaling
-//  profile; chunk boundaries depend only on operand sizes, so the output
-//  tree is identical across all of them.
+// dense_*: the dense 50%-interleaved union shape that regressed under the
+// streamed galloping merge (winner runs of length ~1 defeat galloping, and
+// byte-coded leaves pay per-entry encode overhead on top). Measured two
+// ways per (B, encoding): the run-length-adaptive merge (default) and the
+// same merge with the fallback probe disabled (merge_probe_window=0 — the
+// pre-PR6 behavior). Every union runs on leaf-sized pairs, so each merge is
+// one base case on one worker.
 //
 // Emits machine-readable JSON with --json=<path> (cpam-perf-v1 schema).
 // Deterministic inputs, median of --reps runs after one warmup.
@@ -132,71 +122,6 @@ void runDense(size_t NPairs, JsonReport &Report, const char *Tag = "") {
               Times[0] > 0 ? Times[1] / Times[0] : 0.0);
 }
 
-/// One large flat-by-flat union through the quantile-split parallel merge:
-/// kappa is raised past 2N so map_union flattens both whole trees and runs
-/// a single merge_arrays call, measured with the chunk split disabled
-/// (grain=0: the sequential streamed merge) and at the default grain (up
-/// to kMaxMergeChunks chunk merges forked via parDo).
-template <int B, template <class> class Enc = raw_encoder>
-void runScale(size_t N, JsonReport &Report, const char *Tag = "",
-              bool Runs = false) {
-  using Set = pam_set<uint64_t, B, Enc>;
-
-  std::printf("-- merge scaling B=%d%s%s (n=%zu per side, threads=%d) --\n",
-              B, Tag, Runs ? " [runs]" : "", N, par::num_workers());
-
-  // Entry-interleaved (runs of length 1: every chunk merge bails to the
-  // array path via the probe) or block-interleaved in 512-entry runs (the
-  // galloping streamed merge runs inside every chunk — the shape whose
-  // encode was the single-worker bottleneck).
-  std::vector<uint64_t> KA(N), KB(N);
-  constexpr size_t kBlk = 512;
-  for (size_t I = 0; I < N; ++I) {
-    if (Runs) {
-      size_t Bl = I / kBlk, Off = I % kBlk;
-      KA[I] = (2 * Bl) * kBlk + Off;
-      KB[I] = (2 * Bl + 1) * kBlk + Off;
-    } else {
-      KA[I] = 2 * I;
-      KB[I] = 2 * I + 1;
-    }
-  }
-  Set A = Set::from_sorted(KA), Bb = Set::from_sorted(KB);
-
-  Restore<size_t> GKappa(Set::ops::kappa());
-  Restore<size_t> GGrain(Set::ops::parallel_merge_grain());
-  Set::ops::kappa() = size_t(1) << 40;
-  size_t Chunks = Set::ops::merge_chunk_count(2 * N, N);
-
-  Set Out;
-  uint64_t Sink = 0;
-  char Name[64];
-  double Times[2];
-  struct Mode {
-    const char *Name;
-    size_t Grain; // ~0 = keep default.
-  } Modes[] = {{"seq", 0}, {"par", size_t(-1)}};
-  for (int M = 0; M < 2; ++M) {
-    Set::ops::parallel_merge_grain() =
-        Modes[M].Grain == size_t(-1) ? GGrain.saved() : Modes[M].Grain;
-    Times[M] = medianPrepared(
-        g_reps, [&] { Out = Set(); },
-        [&] {
-          Out = Set::map_union(A, Bb);
-          Sink ^= Out.size();
-        });
-    std::snprintf(Name, sizeof(Name), "scale_union%s%s_%s", Tag,
-                  Runs ? "_runs" : "", Modes[M].Name);
-    Report.add(Name, B, 2 * N, Times[M]);
-    print_single_time_row(Name, Times[M]);
-  }
-  if (Sink == 0xdeadbeef)
-    std::printf("(sink)\n");
-  std::printf("   chunks=%zu  par vs seq %.2fx\n", Chunks,
-              Times[1] > 0 ? Times[0] / Times[1] : 0.0);
-  Out = Set();
-}
-
 } // namespace
 
 int main(int argc, char **argv) {
@@ -204,7 +129,7 @@ int main(int argc, char **argv) {
   g_reps = std::max(1, static_cast<int>(arg_size(argc, argv, "reps", 3)));
   std::string JsonPath = arg_str(argc, argv, "json");
 
-  print_header("merge: dense-interleaved fallback + parallel scaling");
+  print_header("merge: dense-interleaved fallback");
   std::printf("n=%zu reps=%d pool_alloc=%s\n", N, g_reps,
               pool_enabled() ? "on" : "off");
 
@@ -222,13 +147,6 @@ int main(int argc, char **argv) {
   runDense<128>(Pairs, Report);
   runDense<128, diff_encoder>(Pairs, Report, "_diff");
   runDense<128, gamma_encoder>(Pairs, Report, "_gamma");
-
-  // Parallel quantile-split scaling rows (thread count comes from the
-  // environment; CI runs this binary at CPAM_NUM_THREADS=1/2/4).
-  runScale<128>(N, Report);
-  runScale<128, diff_encoder>(N, Report, "_diff");
-  runScale<128>(N, Report, "", /*Runs=*/true);
-  runScale<128, diff_encoder>(N, Report, "_diff", /*Runs=*/true);
 
   Report.add_section("metrics", obs::export_json());
   Report.write(JsonPath);

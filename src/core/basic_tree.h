@@ -23,7 +23,6 @@
 #include <utility>
 
 #include "src/core/node.h"
-#include "src/obs/trace.h"
 
 namespace cpam {
 
@@ -850,127 +849,6 @@ struct tree_ops : node_layer<Entry, EncoderT, BlockSizeB> {
   static bool flat_splice_wins() {
     return NL::encoder::write_cursor::stages_entries ||
            leaf_writer::kCanStream;
-  }
-
-  //===--------------------------------------------------------------------===
-  // parallel_flat_merge: quantile-split chunked merges.
-  //===--------------------------------------------------------------------===
-
-  /// Hard cap on quantile-split chunks per merge. Bounds the on-stack
-  /// boundary and part arrays, and keeps the join fan-in cheap; 64 chunks
-  /// of parallel_merge_grain() entries each saturate far more workers than
-  /// the elastic pool ever runs.
-  static constexpr size_t kMaxMergeChunks = 64;
-
-  /// Minimum entries of merge work per chunk before a flat merge is split
-  /// at key quantiles and run as parallel chunk merges. Reuses the
-  /// scheduler fork granularity default — a chunk is one fork's worth of
-  /// work. 0 disables the parallel path. Runtime-mutable (single-threaded
-  /// setup code only) so the differential tests can lower it to force
-  /// chunked runs on small inputs and the merge benches can A/B it.
-  static constexpr size_t kParallelMergeGrainDefault = kParGran;
-  static size_t &parallel_merge_grain() {
-    static size_t G = kParallelMergeGrainDefault;
-    return G;
-  }
-
-  /// Number of chunks a merge over \p Total combined entries (larger
-  /// operand: \p Larger entries) splits into; 1 means "run sequentially".
-  /// Depends only on operand sizes and the grain knob — never on the
-  /// worker count — so the chunking, and with it the output tree, is
-  /// identical at any thread count.
-  static size_t merge_chunk_count(size_t Total, size_t Larger) {
-    size_t G = parallel_merge_grain();
-    if (G == 0 || Total < 2 * G)
-      return 1;
-    size_t C = std::min(std::min(Total / G, kMaxMergeChunks), Larger);
-    return C < 2 ? 1 : C;
-  }
-
-  /// Quantile-split parallel merge driver. Splits the sorted inputs
-  /// A[0..N1) (entries) and B[0..N2) (any sorted key-carrying elements,
-  /// keys read via \p KB) into \p C aligned chunk pairs at key quantiles
-  /// of the larger side, runs \p MC(AChunk, An, BChunk, Bn) -> node_t* on
-  /// each pair under scheduler forks, and joins the per-chunk trees
-  /// weight-balanced. A boundary key starts the *right* chunk on both
-  /// sides (lower_bound), so equal-key pairs land in the same chunk and
-  /// every chunk merge sees a self-contained key range.
-  template <class EltB, class KeyOfB, class ChunkMerge>
-  static node_t *parallel_flat_merge(entry_t *A, size_t N1, EltB *B,
-                                     size_t N2, const KeyOfB &KB, size_t C,
-                                     const ChunkMerge &MC) {
-    assert(C >= 2 && C <= kMaxMergeChunks && "merge_chunk_count sizes C");
-    size_t IA[kMaxMergeChunks + 1], IB[kMaxMergeChunks + 1];
-    IA[0] = IB[0] = 0;
-    IA[C] = N1;
-    IB[C] = N2;
-    auto LbB = [&](const key_t &K) {
-      size_t Lo = 0, Hi = N2;
-      while (Lo < Hi) {
-        size_t Mid = Lo + (Hi - Lo) / 2;
-        if (Entry::comp(KB(B[Mid]), K))
-          Lo = Mid + 1;
-        else
-          Hi = Mid;
-      }
-      return Lo;
-    };
-    for (size_t I = 1; I < C; ++I) {
-      // Quantile ranks on the larger side are exact boundaries (keys are
-      // distinct within a side); the smaller side splits by binary search
-      // on the same key, so the boundary keys — and the chunking — are a
-      // pure function of the inputs.
-      if (N1 >= N2) {
-        IA[I] = I * N1 / C;
-        IB[I] = LbB(Entry::get_key(A[IA[I]]));
-      } else {
-        IB[I] = I * N2 / C;
-        IA[I] = lower_bound_idx(A, N1, KB(B[IB[I]]));
-      }
-    }
-    // Zero-initialized so a throwing chunk merge leaves its slot (and any
-    // never-run slots) as harmless nullptrs for the cleanup sweep.
-    node_t *Parts[kMaxMergeChunks] = {};
-    obs::trace::span MergeSpan("merge", "merge");
-    try {
-      par::parallel_for(
-          0, C,
-          [&](size_t I) {
-            obs::trace::span S("merge_chunk", "merge");
-            Parts[I] = MC(A + IA[I], IA[I + 1] - IA[I], B + IB[I],
-                          IB[I + 1] - IB[I]);
-          },
-          /*Granularity=*/1);
-      obs::trace::span JoinSpan("merge_join", "merge");
-      return join_parts(Parts, C);
-    } catch (...) {
-      // join_parts nulls slots as it consumes them, so this sweep releases
-      // exactly the chunk trees nobody owns yet.
-      for (size_t I = 0; I < C; ++I)
-        dec(Parts[I]);
-      throw;
-    }
-  }
-
-  /// Balanced concatenation of \p K adjacent chunk trees: divide and
-  /// conquer so intermediate joins stay near-balanced regardless of how
-  /// the per-chunk output sizes skew.
-  static node_t *join_parts(node_t **P, size_t K) {
-    if (K == 1) {
-      node_t *Out = P[0];
-      P[0] = nullptr; // Consumed: the caller's failure sweep must not re-dec.
-      return Out;
-    }
-    size_t Mid = K / 2;
-    node_t *L = join_parts(P, Mid);
-    node_t *R;
-    try {
-      R = join_parts(P + Mid, K - Mid);
-    } catch (...) {
-      dec(L);
-      throw;
-    }
-    return join2(L, R);
   }
 
   //===--------------------------------------------------------------------===

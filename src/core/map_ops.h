@@ -411,25 +411,16 @@ struct map_ops : tree_ops<Entry, EncoderT, BlockSizeB> {
     return W;
   }
 
-  /// How many streamed merges have bailed out through the run-length
-  /// fallback since process start — up front via probe_runs_degenerate or
-  /// mid-merge via the window check (test and bench telemetry; relaxed —
-  /// readers quiesce the scheduler before asserting on it). Shim over the
-  /// obs registry's "merge.fallbacks" raw cell: every map_ops
-  /// instantiation (any Entry/encoder/B) shares the one process-wide
-  /// counter, it shows up in obs::export_json(), and obs::reset_all()
-  /// zeroes it along with everything else.
-  static std::atomic<uint64_t> &merge_fallback_count() {
+  /// Counts one streamed merge bailing out through the run-length fallback
+  /// (up front via probe_runs_degenerate or mid-merge via the window check)
+  /// in the obs registry's "merge.fallbacks" raw cell: one process-wide
+  /// counter for every map_ops instantiation, exported by
+  /// obs::export_json() and zeroed by obs::reset_all(). Relaxed — readers
+  /// quiesce the scheduler before asserting on it.
+  static void count_merge_fallback() {
     static std::atomic<uint64_t> &C =
         obs::registry::get().raw_counter("merge.fallbacks");
-    return C;
-  }
-
-  /// Zeroes merge_fallback_count() so a telemetry assertion sees only the
-  /// episodes it triggers itself, not earlier merges in the same process.
-  /// Call while quiescent (no merges in flight), like the reader side.
-  static void merge_fallback_count_reset() {
-    merge_fallback_count().store(0, std::memory_order_relaxed);
+    C.fetch_add(1, std::memory_order_relaxed);
   }
 
   /// Dry-run of the merge's first probe-window of output: pure compares
@@ -519,7 +510,7 @@ struct map_ops : tree_ops<Entry, EncoderT, BlockSizeB> {
           // Runs degenerated (average < 2): merge the remainders in one
           // array pass and batch-encode, handing finish_tail its B+1
           // hold-back so every chunk sealed here keeps a legal successor.
-          merge_fallback_count().fetch_add(1, std::memory_order_relaxed);
+          count_merge_fallback();
           temp_buf Rest((N1 - I) + (N2 - J));
           size_t K = merge_move(A + I, N1 - I, B + J, N2 - J, Rest, Op);
           if (K > kB + 1) {
@@ -586,27 +577,24 @@ struct map_ops : tree_ops<Entry, EncoderT, BlockSizeB> {
   }
 
   //===--------------------------------------------------------------------===
-  // Array-merge dispatchers: every sorted-array merge base case funnels
-  // through one of these, which splits the work at key quantiles
-  // (tree_ops::parallel_flat_merge) whenever merge_chunk_count — a pure
-  // function of the operand sizes — says the operands carry at least two
-  // chunks' worth, and otherwise runs the single-stream chunk merge
-  // inline. Chunk boundaries never depend on the worker count, so the
-  // output tree is identical at any thread count.
+  // Array base cases: every flattened set-op and batch-update base case
+  // runs one of these on one worker. Parallelism comes from the join-based
+  // recursion above kappa(), never from inside a base case.
   //===--------------------------------------------------------------------===
 
-  /// One union chunk over sorted entry arrays: the fused stream+encode
+  /// Union-merge of two sorted entry arrays (moved out) into a tree: the
+  /// fused stream+encode
   /// when the encoding supports it (with the run-length fallback inside),
   /// else the array merge + build — which is both the production fallback
   /// and the entry-staging build, itself one batch encode.
   template <class CombineOp>
-  static node_t *union_chunk(entry_t *A, size_t N1, entry_t *B, size_t N2,
-                             const CombineOp &Op) {
+  static node_t *union_arrays(entry_t *A, size_t N1, entry_t *B, size_t N2,
+                              const CombineOp &Op) {
     if constexpr (TO::leaf_writer::kCanStream) {
       if (N1 + N2 > 2 * kB && TO::flat_merge_wins(N1 + N2)) {
         if (!probe_runs_degenerate(A, N1, B, N2))
           return merge_arrays_streamed(A, N1, B, N2, Op);
-        merge_fallback_count().fetch_add(1, std::memory_order_relaxed);
+        count_merge_fallback();
       }
     }
     temp_buf Out(N1 + N2);
@@ -614,10 +602,11 @@ struct map_ops : tree_ops<Entry, EncoderT, BlockSizeB> {
     return from_array_move(Out.data(), K);
   }
 
-  /// One intersect chunk: matched keys combine, everything else drops.
+  /// Intersection of two sorted entry arrays: matched keys combine (moved
+  /// out), everything else drops.
   template <class CombineOp>
-  static node_t *intersect_chunk(entry_t *A, size_t N1, entry_t *B, size_t N2,
-                                 const CombineOp &Op) {
+  static node_t *intersect_arrays(entry_t *A, size_t N1, entry_t *B,
+                                  size_t N2, const CombineOp &Op) {
     temp_buf Out(std::min(N1, N2));
     entry_t *O = Out.data();
     size_t I = 0, J = 0, K = 0;
@@ -637,9 +626,10 @@ struct map_ops : tree_ops<Entry, EncoderT, BlockSizeB> {
     return from_array_move(O, K);
   }
 
-  /// One difference chunk: keeps A-entries whose keys are absent from B.
-  static node_t *difference_chunk(entry_t *A, size_t N1, entry_t *B,
-                                  size_t N2) {
+  /// Difference of two sorted entry arrays: keeps (moves out) A-entries
+  /// whose keys are absent from B.
+  static node_t *difference_arrays(entry_t *A, size_t N1, entry_t *B,
+                                   size_t N2) {
     temp_buf Out(N1);
     entry_t *O = Out.data();
     size_t I = 0, J = 0, K = 0;
@@ -656,10 +646,10 @@ struct map_ops : tree_ops<Entry, EncoderT, BlockSizeB> {
     return from_array_move(O, K);
   }
 
-  /// One multi_delete chunk: keeps entries of B whose keys are absent from
-  /// the sorted, distinct key array A.
-  static node_t *erase_chunk(entry_t *B, size_t Nt, const key_t *A,
-                             size_t N) {
+  /// multi_delete over arrays: keeps (moves out) entries of B whose keys
+  /// are absent from the sorted, distinct key array A.
+  static node_t *erase_arrays(entry_t *B, size_t Nt, const key_t *A,
+                              size_t N) {
     temp_buf Out(Nt);
     entry_t *O = Out.data();
     size_t I = 0, J = 0, K = 0;
@@ -674,68 +664,6 @@ struct map_ops : tree_ops<Entry, EncoderT, BlockSizeB> {
       Out.set_count(K);
     }
     return from_array_move(O, K);
-  }
-
-  /// Key extractor for entry arrays (parallel_flat_merge's KeyOfB).
-  struct key_of_entry_t {
-    const key_t &operator()(const entry_t &E) const {
-      return Entry::get_key(E);
-    }
-  };
-
-  /// Union-merge of two sorted entry arrays (moved out) into a tree,
-  /// parallel above the quantile-split threshold.
-  template <class CombineOp>
-  static node_t *merge_arrays(entry_t *A, size_t N1, entry_t *B, size_t N2,
-                              const CombineOp &Op) {
-    size_t C = TO::merge_chunk_count(N1 + N2, std::max(N1, N2));
-    auto Chunk = [&Op](entry_t *CA, size_t Cn1, entry_t *CB, size_t Cn2) {
-      return union_chunk(CA, Cn1, CB, Cn2, Op);
-    };
-    if (C >= 2)
-      return TO::parallel_flat_merge(A, N1, B, N2, key_of_entry_t{}, C,
-                                     Chunk);
-    return Chunk(A, N1, B, N2);
-  }
-
-  /// Intersection of two sorted entry arrays (matches moved out), parallel
-  /// above the quantile-split threshold.
-  template <class CombineOp>
-  static node_t *intersect_arrays(entry_t *A, size_t N1, entry_t *B,
-                                  size_t N2, const CombineOp &Op) {
-    size_t C = TO::merge_chunk_count(N1 + N2, std::max(N1, N2));
-    auto Chunk = [&Op](entry_t *CA, size_t Cn1, entry_t *CB, size_t Cn2) {
-      return intersect_chunk(CA, Cn1, CB, Cn2, Op);
-    };
-    if (C >= 2)
-      return TO::parallel_flat_merge(A, N1, B, N2, key_of_entry_t{}, C,
-                                     Chunk);
-    return Chunk(A, N1, B, N2);
-  }
-
-  /// Difference of two sorted entry arrays (survivors moved out), parallel
-  /// above the quantile-split threshold.
-  static node_t *difference_arrays(entry_t *A, size_t N1, entry_t *B,
-                                   size_t N2) {
-    size_t C = TO::merge_chunk_count(N1 + N2, std::max(N1, N2));
-    if (C >= 2)
-      return TO::parallel_flat_merge(A, N1, B, N2, key_of_entry_t{}, C,
-                                     &map_ops::difference_chunk);
-    return difference_chunk(A, N1, B, N2);
-  }
-
-  /// Erases the sorted, distinct keys K[0..N) from the sorted entry array
-  /// B (survivors moved out), parallel above the quantile-split threshold.
-  static node_t *erase_arrays(entry_t *B, size_t Nt, const key_t *K,
-                              size_t N) {
-    size_t C = TO::merge_chunk_count(Nt + N, std::max(Nt, N));
-    auto KeyOfKey = [](const key_t &Key) -> const key_t & { return Key; };
-    auto Chunk = [](entry_t *CB, size_t Cn, const key_t *CK, size_t Cm) {
-      return erase_chunk(CB, Cn, CK, Cm);
-    };
-    if (C >= 2)
-      return TO::parallel_flat_merge(B, Nt, K, N, KeyOfKey, C, Chunk);
-    return Chunk(B, Nt, K, N);
   }
 
   /// Merges two encoded blocks directly. Results that fit one leaf merge
@@ -762,7 +690,7 @@ struct map_ops : tree_ops<Entry, EncoderT, BlockSizeB> {
         B1.set_count(N1);
         flatten(G2.release(), B2.data());
         B2.set_count(N2);
-        return merge_arrays(B1.data(), N1, B2.data(), N2, Op);
+        return union_arrays(B1.data(), N1, B2.data(), N2, Op);
       }
     }
     leaf_reader A(T1), B(T2);
@@ -822,8 +750,7 @@ struct map_ops : tree_ops<Entry, EncoderT, BlockSizeB> {
   template <class CombineOp>
   static node_t *union_base(node_t *T1, node_t *T2, const CombineOp &Op) {
     size_t N1 = size(T1), N2 = size(T2);
-    if (TO::merge_chunk_count(N1 + N2, std::max(N1, N2)) < 2 &&
-        is_flat(T1) && is_flat(T2) && TO::flat_merge_wins(N1 + N2))
+    if (is_flat(T1) && is_flat(T2) && TO::flat_merge_wins(N1 + N2))
       return union_flat(T1, T2, Op);
     node_guard G1(T1), G2(T2);
     temp_buf B1(N1), B2(N2);
@@ -831,7 +758,7 @@ struct map_ops : tree_ops<Entry, EncoderT, BlockSizeB> {
     B1.set_count(N1);
     flatten(G2.release(), B2.data());
     B2.set_count(N2);
-    return merge_arrays(B1.data(), N1, B2.data(), N2, Op);
+    return union_arrays(B1.data(), N1, B2.data(), N2, Op);
   }
 
   /// union of two owned trees; values of duplicate keys combine as
@@ -875,8 +802,7 @@ struct map_ops : tree_ops<Entry, EncoderT, BlockSizeB> {
   template <class CombineOp>
   static node_t *intersect_base(node_t *T1, node_t *T2, const CombineOp &Op) {
     size_t N1 = size(T1), N2 = size(T2);
-    if (TO::merge_chunk_count(N1 + N2, std::max(N1, N2)) < 2 &&
-        is_flat(T1) && is_flat(T2) && TO::flat_splice_wins())
+    if (is_flat(T1) && is_flat(T2) && TO::flat_splice_wins())
       return intersect_flat(T1, T2, Op);
     node_guard G1(T1), G2(T2);
     temp_buf B1(N1), B2(N2);
@@ -927,8 +853,7 @@ struct map_ops : tree_ops<Entry, EncoderT, BlockSizeB> {
 
   static node_t *difference_base(node_t *T1, node_t *T2) {
     size_t N1 = size(T1), N2 = size(T2);
-    if (TO::merge_chunk_count(N1 + N2, std::max(N1, N2)) < 2 &&
-        is_flat(T1) && is_flat(T2) && TO::flat_splice_wins())
+    if (is_flat(T1) && is_flat(T2) && TO::flat_splice_wins())
       return difference_flat(T1, T2);
     node_guard G1(T1), G2(T2);
     temp_buf B1(N1), B2(N2);
@@ -983,13 +908,22 @@ struct map_ops : tree_ops<Entry, EncoderT, BlockSizeB> {
       return T;
     if (size(T) + N <= kappa() || is_flat(T)) {
       size_t Nt = size(T);
+      if (Nt + N > kappa()) {
+        // A flat leaf against a batch too large for one base case (batch
+        // keys past the tree's last key all land in its last leaf): build
+        // the batch into a tree and union it in, so the work forks like
+        // any union above kappa(). union_ combines as Op(tree, batch).
+        node_guard G(T);
+        node_t *BT = from_array_move(A, N);
+        return union_(G.release(), BT, Op);
+      }
       // The same break-even gates every base case now: total operand
       // entries (the batch counts one per element — the old gate priced
       // it in raw bytes, which meant a different threshold here than on
       // the set ops).
       if (is_flat(T) && TO::flat_merge_wins(Nt + N) && Nt + N <= 2 * kB) {
         // Leaf splice: stream the block against the sorted batch (result
-        // fits one leaf; anything wider goes through merge_arrays below).
+        // fits one leaf; anything wider goes through union_arrays below).
         leaf_reader C(T);
         leaf_writer W(Nt + N);
         size_t J = 0;
@@ -1009,15 +943,13 @@ struct map_ops : tree_ops<Entry, EncoderT, BlockSizeB> {
           W.push(std::move(A[J]));
         return W.finish();
       }
-      // Flatten + merge base case (also folds oversized leaves
-      // correctly). merge_arrays picks the fused stream+encode, the
-      // quantile-split parallel driver, or the plain array merge — so a
-      // large batch against a flat root no longer encodes on one worker.
+      // Flatten + merge base case (also folds oversized leaves correctly):
+      // the fused stream+encode or the plain array merge.
       node_guard G(T);
       temp_buf Bt(Nt);
       flatten(G.release(), Bt.data());
       Bt.set_count(Nt);
-      return merge_arrays(Bt.data(), Nt, A, N, Op);
+      return union_arrays(Bt.data(), Nt, A, N, Op);
     }
     exposed X = expose(T);
     size_t S = lower_bound_idx(A, N, entry_key(X.E));
@@ -1048,8 +980,16 @@ struct map_ops : tree_ops<Entry, EncoderT, BlockSizeB> {
       return T;
     if (is_flat(T) || size(T) <= kappa()) {
       size_t Nt = size(T);
-      if (TO::merge_chunk_count(Nt + N, std::max(Nt, N)) < 2 &&
-          is_flat(T) && TO::flat_merge_wins(Nt + N)) {
+      if (N > Nt) {
+        // More keys than entries (keys past the tree's last key all land
+        // in its last subtree): probe each entry against the batch instead
+        // of walking the batch, O(|T| log N), with filter's forks.
+        return filter(T, [A, N](const entry_t &E) {
+          const key_t *It = std::lower_bound(A, A + N, entry_key(E), key_less);
+          return It == A + N || key_less(entry_key(E), *It);
+        });
+      }
+      if (is_flat(T) && TO::flat_merge_wins(Nt + N)) {
         // Leaf splice: keys in A are sorted and distinct, so each can match
         // at most one block entry.
         leaf_reader C(T);
@@ -1067,8 +1007,7 @@ struct map_ops : tree_ops<Entry, EncoderT, BlockSizeB> {
         }
         return W.finish();
       }
-      // Flatten + erase base case; erase_arrays splits a large delete
-      // batch against a flat root into parallel quantile chunks.
+      // Flatten + erase base case.
       node_guard G(T);
       temp_buf Bt(Nt);
       flatten(G.release(), Bt.data());

@@ -27,17 +27,17 @@
 ///    max, so a reported percentile never understates the true one and
 ///    overstates it by at most one sub-bucket width.
 ///
-///  - raw_counter(name): a single named std::atomic<uint64_t> cell for
-///    pre-existing telemetry that hands out a raw atomic reference
-///    (tree_ops::merge_fallback_count). Always compiled, even when the
-///    metric record paths are compiled out.
+///  - raw_counter(name): a single named std::atomic<uint64_t> cell, for
+///    telemetry that must count even when the metric record paths are
+///    compiled out (map_ops' "merge.fallbacks", which tests read and
+///    reset through this reference). Always compiled.
 ///  - register_source(name, json_fn, reset_fn): adopts an external
 ///    telemetry surface (scheduler stats, pool-allocator stats) into the
 ///    registry's export and reset_all() without moving its storage.
 ///
 /// reset() semantics are uniform and deliberately simple: quiescent use
 /// only, like every pre-existing telemetry reset in the repo
-/// (par::scheduler_stats_reset, merge_fallback_count_reset). reset_all()
+/// (par::scheduler_stats_reset). reset_all()
 /// resets every owned metric, every raw cell and every source in one call
 /// so benches cannot forget one surface.
 ///

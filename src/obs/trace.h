@@ -6,11 +6,10 @@
 ///
 /// \file
 /// Scoped trace spans over the whole runtime — scheduler task execution,
-/// parking and join-parking, parallel_flat_merge chunk fan-out, serving
-/// publish/reclaim — recorded into per-thread ring buffers and flushed on
-/// demand as Chrome trace-event JSON (loadable in chrome://tracing and
-/// Perfetto), so a whole read-while-ingest run can be visualized lane by
-/// lane.
+/// parking and join-parking, serving publish/reclaim/apply_batch —
+/// recorded into per-thread ring buffers and flushed on demand as Chrome
+/// trace-event JSON (loadable in chrome://tracing and Perfetto), so a
+/// whole read-while-ingest run can be visualized lane by lane.
 ///
 /// Cost model: tracing is a diagnostic mode, off by default. Disabled, a
 /// span site is one relaxed atomic load and a branch (and compiles to

@@ -23,9 +23,12 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include <algorithm>
+#include <atomic>
 #include <map>
 #include <new>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -34,6 +37,7 @@
 #include "src/api/pam_set.h"
 #include "src/encoding/diff_encoder.h"
 #include "src/encoding/gamma_encoder.h"
+#include "src/obs/metrics.h"
 #include "src/util/failpoint.h"
 #include "tests/test_common.h"
 
@@ -583,7 +587,7 @@ TYPED_TEST(DifferentialSetTest, MultiLeafChunkedResults) {
 }
 
 //===----------------------------------------------------------------------===//
-// Parallel quantile-split merges.
+// Whole-operand base-case merges and scheduling determinism.
 //===----------------------------------------------------------------------===//
 
 /// Structural fingerprint of the whole tree: node kinds, sizes, child
@@ -614,21 +618,16 @@ template <class SetT> uint64_t treeFingerprint(const SetT &S) {
   return Walk{}(S.root());
 }
 
-/// Drives every operation routed through the quantile-split parallel merge
-/// with the grain lowered (so these test-sized inputs split into many
-/// chunks) and kappa raised (so whole operands reach the merge base
-/// cases). Each op is checked three ways: contents against the std::set
-/// oracle, the Def. 4.1 invariants, and structural identity between a run
-/// under the real scheduler and the same chunked code path with every fork
-/// inlined (par::set_sequential). Chunk boundaries are a pure function of
-/// the operand sizes — never the worker count — so this last check, run by
-/// the x1/x4/x16 ctest variants of this suite, pins byte-identical output
-/// trees at every thread count.
-template <class SetT> void runParallelMergeEpisode(Rng R) {
+/// Drives every flattened base case with kappa raised, so whole operands
+/// (thousands of entries) reach the single-worker array and stream merges.
+/// Each op is checked three ways: contents against the std::set oracle,
+/// the Def. 4.1 invariants, and structural identity between a run under
+/// the real scheduler and the same code with every fork inlined
+/// (par::set_sequential). The x1/x4/x16 ctest variants of this suite
+/// re-run it, pinning the output trees at every thread count.
+template <class SetT> void runBaseCaseMergeEpisode(Rng R) {
   using ops = typename SetT::ops;
-  test::ValueGuard<size_t> GGrain(ops::parallel_merge_grain());
   test::ValueGuard<size_t> GKappa(ops::kappa());
-  ops::parallel_merge_grain() = 512;
   ops::kappa() = size_t{1} << 20;
   constexpr uint64_t Universe = 300000;
 
@@ -646,7 +645,7 @@ template <class SetT> void runParallelMergeEpisode(Rng R) {
     SetT Seq = Mk();
     par::set_sequential(false);
     EXPECT_EQ(treeFingerprint(Par), treeFingerprint(Seq))
-        << What << ": chunked merge output depends on scheduling";
+        << What << ": merge output depends on scheduling";
     EXPECT_EQ(Par.size_in_bytes(), Seq.size_in_bytes()) << What;
     EXPECT_EQ(Par.node_count(), Seq.node_count()) << What;
     return Par;
@@ -661,11 +660,10 @@ template <class SetT> void runParallelMergeEpisode(Rng R) {
         "union", [&] { return SetT::map_union(SA, SB); });
     std::set<uint64_t> O = OA;
     O.insert(OB.begin(), OB.end());
-    checkSetAgainstOracle(U, O, "parallel union");
+    checkSetAgainstOracle(U, O, "base-case union");
   }
   {
-    // Overlap half of SA's keys so the intersection is nonempty in every
-    // chunk.
+    // Overlap half of SA's keys so the intersection is nonempty.
     std::vector<uint64_t> KC = KB;
     for (uint64_t K : KA)
       if (R.next(2))
@@ -677,7 +675,7 @@ template <class SetT> void runParallelMergeEpisode(Rng R) {
     for (uint64_t K : OA)
       if (OC.count(K))
         O.insert(K);
-    checkSetAgainstOracle(I, O, "parallel intersect");
+    checkSetAgainstOracle(I, O, "base-case intersect");
   }
   {
     SetT D = CheckDeterminism(
@@ -686,18 +684,17 @@ template <class SetT> void runParallelMergeEpisode(Rng R) {
     for (uint64_t K : OA)
       if (!OB.count(K))
         O.insert(K);
-    checkSetAgainstOracle(D, O, "parallel difference");
+    checkSetAgainstOracle(D, O, "base-case difference");
   }
   {
-    // The single-worker-encode-bottleneck shape: a tiny flat root spliced
-    // with a batch that dwarfs it.
+    // A tiny root spliced with a batch that dwarfs it.
     auto Seed = RandomKeys(5);
     SetT Root(Seed);
     SetT M = CheckDeterminism(
         "multi_insert", [&] { return Root.multi_insert(KA); });
     std::set<uint64_t> O(Seed.begin(), Seed.end());
     O.insert(KA.begin(), KA.end());
-    checkSetAgainstOracle(M, O, "parallel multi_insert");
+    checkSetAgainstOracle(M, O, "base-case multi_insert");
   }
   {
     std::vector<uint64_t> Del;
@@ -709,12 +706,12 @@ template <class SetT> void runParallelMergeEpisode(Rng R) {
     std::set<uint64_t> O = OA;
     for (uint64_t K : Del)
       O.erase(K);
-    checkSetAgainstOracle(M, O, "parallel multi_delete");
+    checkSetAgainstOracle(M, O, "base-case multi_delete");
   }
 }
 
-TYPED_TEST(DifferentialSetTest, ParallelMergeMatchesInlineRunAndOracle) {
-  runParallelMergeEpisode<TypeParam>(test::seeded_rng(33));
+TYPED_TEST(DifferentialSetTest, BaseCaseMergeMatchesInlineRunAndOracle) {
+  runBaseCaseMergeEpisode<TypeParam>(test::seeded_rng(33));
   par::set_sequential(false);
 }
 
@@ -737,15 +734,117 @@ TYPED_TEST(DifferentialSetTest, DenseInterleavedMergeTriggersRunFallback) {
   // Start the telemetry from zero so this assertion counts only the
   // merges below — earlier episodes in the same process (other tests,
   // the fixture's own setup) cannot mask a fallback that never fires.
-  ops::merge_fallback_count_reset();
+  std::atomic<uint64_t> &Fallbacks =
+      obs::registry::get().raw_counter("merge.fallbacks");
+  Fallbacks.store(0, std::memory_order_relaxed);
   TypeParam SA(A), SB(B);
   TypeParam U = TypeParam::map_union(SA, SB);
   std::set<uint64_t> O(A.begin(), A.end());
   O.insert(B.begin(), B.end());
   checkSetAgainstOracle(U, O, "dense-interleaved union");
   if constexpr (ops::leaf_writer::kCanStream) {
-    EXPECT_GT(ops::merge_fallback_count().load(), 0u)
+    EXPECT_GT(Fallbacks.load(std::memory_order_relaxed), 0u)
         << "run-length fallback never fired on a degenerate-run merge";
+  }
+}
+
+//===----------------------------------------------------------------------===//
+// Batches larger than the leaf they land in, at the default kappa().
+//===----------------------------------------------------------------------===//
+
+/// Batch keys past a tree's last key all land in its last leaf, so one
+/// base case receives a batch much larger than itself. multi_insert then
+/// builds the batch into a tree and unions it in; multi_delete filters the
+/// subtree against the batch. Both run at the default kappa() on a flat
+/// root (200 entries) and on a multi-leaf root (1000 entries <= kappa()),
+/// for std::less and its std::greater twin. The combine is
+/// non-commutative, so a swapped Op(batch, tree) fails the oracle.
+template <class MapT> class BigBatchAtLeafTest : public test::LeakCheckTest {};
+
+using BigBatchMapTypes = ::testing::Types<
+    pam_map<uint64_t, uint64_t>,
+    pam_map<uint64_t, uint64_t, 128, raw_encoder, std::greater<uint64_t>>>;
+TYPED_TEST_SUITE(BigBatchAtLeafTest, BigBatchMapTypes);
+
+/// Runs \p Mk under the real scheduler and fork-inlined, checks that the
+/// two trees are structurally identical, and returns the scheduled one.
+template <class MapT, class Mk>
+MapT scheduledMatchesInline(const char *What, const Mk &Make) {
+  MapT Par = Make();
+  par::set_sequential(true);
+  MapT Seq = Make();
+  par::set_sequential(false);
+  EXPECT_EQ(treeFingerprint(Par), treeFingerprint(Seq)) << What;
+  EXPECT_EQ(Par.node_count(), Seq.node_count()) << What;
+  return Par;
+}
+
+TYPED_TEST(BigBatchAtLeafTest, MultiInsertPastLastKey) {
+  using MapT = TypeParam;
+  using ops = typename MapT::ops;
+  const bool Ascending = ops::key_less(1, 2);
+  auto Combine = [](uint64_t Old, uint64_t New) { return Old * 31 + New; };
+  for (size_t NTree : {200u, 1000u}) {
+    SCOPED_TRACE("tree of " + std::to_string(NTree));
+    // Tree keys 1e6 + 2i; batch keys run on past the tree's last key in
+    // comparator order, plus every 40th tree key (overlaps).
+    EntryVec TreeEntries, Batch;
+    for (uint64_t I = 0; I < NTree; ++I)
+      TreeEntries.push_back({1000000 + 2 * I, I + 1});
+    for (uint64_t I = 0; I < 6000; ++I) {
+      uint64_t K = Ascending ? 1000000 + 2 * NTree + I : 999999 - I;
+      Batch.push_back({K, 7 * I + 3});
+    }
+    for (uint64_t I = 0; I < NTree; I += 40)
+      Batch.push_back({1000000 + 2 * I, 5 * I + 11});
+    MapT T(TreeEntries);
+    ASSERT_LE(T.size(), ops::kappa());
+    Oracle O(TreeEntries.begin(), TreeEntries.end());
+    for (const auto &[K, V] : Batch) {
+      auto [It, New] = O.emplace(K, V);
+      if (!New)
+        It->second = Combine(It->second, V);
+    }
+    MapT M = scheduledMatchesInline<MapT>(
+        "multi_insert", [&] { return T.multi_insert(Batch, Combine); });
+    EntryVec Want(O.begin(), O.end());
+    if (!Ascending)
+      std::reverse(Want.begin(), Want.end());
+    ASSERT_EQ(M.check_invariants(), "");
+    ASSERT_EQ(M.to_vector(), Want);
+  }
+}
+
+TYPED_TEST(BigBatchAtLeafTest, MultiDeleteMostlyAbsentKeys) {
+  using MapT = TypeParam;
+  using ops = typename MapT::ops;
+  const bool Ascending = ops::key_less(1, 2);
+  for (size_t NTree : {200u, 1000u}) {
+    SCOPED_TRACE("tree of " + std::to_string(NTree));
+    EntryVec TreeEntries;
+    for (uint64_t I = 0; I < NTree; ++I)
+      TreeEntries.push_back({1000000 + 2 * I, I + 1});
+    // 50k keys: odd keys between the tree's (absent), keys past its last
+    // key (absent), and every third tree key (present).
+    std::vector<uint64_t> Del;
+    for (uint64_t I = 0; I < NTree; ++I)
+      Del.push_back(1000000 + 2 * I + 1);
+    for (uint64_t I = 0; Del.size() < 50000; ++I)
+      Del.push_back(Ascending ? 1000000 + 2 * NTree + I : 999999 - I);
+    Oracle O(TreeEntries.begin(), TreeEntries.end());
+    for (uint64_t I = 0; I < NTree; I += 3) {
+      Del.push_back(1000000 + 2 * I);
+      O.erase(1000000 + 2 * I);
+    }
+    MapT T(TreeEntries);
+    ASSERT_LE(T.size(), ops::kappa());
+    MapT M = scheduledMatchesInline<MapT>(
+        "multi_delete", [&] { return T.multi_delete(Del); });
+    EntryVec Want(O.begin(), O.end());
+    if (!Ascending)
+      std::reverse(Want.begin(), Want.end());
+    ASSERT_EQ(M.check_invariants(), "");
+    ASSERT_EQ(M.to_vector(), Want);
   }
 }
 

@@ -10,11 +10,10 @@
 /// bounds on a known distribution (the log-bucket scheme guarantees a
 /// reported percentile in [true, true * (1 + 1/16)]), reset coherence
 /// through obs::reset_all() across every surface (owned metrics, raw
-/// cells, scheduler source), the merge-fallback shim identity (every
-/// map_ops instantiation shares the one registry cell), and a trace-span
-/// round trip: force a chunked parallel merge under tracing and assert the
-/// flushed Chrome trace JSON parses structurally and contains the
-/// merge-chunk spans. Runs in the CI TSan leg (concurrent record/flush).
+/// cells, scheduler source), and a trace-span round trip: publish serving
+/// versions under tracing and assert the flushed Chrome trace JSON parses
+/// structurally and contains the publish/reclaim spans. Runs in the CI
+/// TSan leg (concurrent record/flush).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -25,13 +24,10 @@
 
 #include "gtest/gtest.h"
 
-#include "src/api/pam_set.h"
-#include "src/encoding/diff_encoder.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/parallel/primitives.h"
 #include "src/serving/version_chain.h"
-#include "tests/test_common.h"
 
 using namespace cpam;
 
@@ -262,24 +258,6 @@ TEST(ObsRegistry, ExportJsonCarriesAllSurfaces) {
 // Adoption shims.
 //===----------------------------------------------------------------------===//
 
-TEST(ObsShims, MergeFallbackSharedAcrossInstantiations) {
-  // Pre-PR 9 each map_ops instantiation had its own fallback counter; the
-  // shim must alias every instantiation onto the one registry cell.
-  using Ops8 = typename pam_set<uint64_t, 8>::ops;
-  using Ops128 = typename pam_set<uint64_t, 128>::ops;
-  using OpsDiff = typename pam_set<uint64_t, 128, diff_encoder>::ops;
-  std::atomic<uint64_t> &Cell =
-      obs::registry::get().raw_counter("merge.fallbacks");
-  EXPECT_EQ(&Ops8::merge_fallback_count(), &Cell);
-  EXPECT_EQ(&Ops128::merge_fallback_count(), &Cell);
-  EXPECT_EQ(&OpsDiff::merge_fallback_count(), &Cell);
-  Ops8::merge_fallback_count_reset();
-  EXPECT_EQ(Cell.load(std::memory_order_relaxed), 0u);
-  Ops128::merge_fallback_count().fetch_add(2, std::memory_order_relaxed);
-  EXPECT_EQ(Ops8::merge_fallback_count().load(std::memory_order_relaxed), 2u);
-  Ops8::merge_fallback_count_reset();
-}
-
 TEST(ObsShims, ServingMetricsRecordThroughRegistry) {
   if (!kMetricsOn)
     GTEST_SKIP() << "record paths compiled out";
@@ -304,28 +282,19 @@ TEST(ObsShims, ServingMetricsRecordThroughRegistry) {
 // Trace spans.
 //===----------------------------------------------------------------------===//
 
-TEST(ObsTrace, ChunkedMergeSpansFlushAsLoadableJson) {
+TEST(ObsTrace, ServingSpansFlushAsLoadableJson) {
   if (!kMetricsOn)
     GTEST_SKIP() << "trace spans compiled out";
-  using SetT = pam_set<uint64_t, 128>;
-  using ops = typename SetT::ops;
-  // Force the quantile-split path on test-sized inputs, exactly like the
-  // differential parallel-merge episode.
-  test::ValueGuard<size_t> GGrain(ops::parallel_merge_grain());
-  test::ValueGuard<size_t> GKappa(ops::kappa());
-  ops::parallel_merge_grain() = 512;
-  ops::kappa() = size_t{1} << 20;
-
   obs::trace::clear();
   obs::trace::enable();
-  std::vector<uint64_t> KA, KB;
-  for (uint64_t I = 0; I < 6000; ++I)
-    KA.push_back(3 * I);
-  for (uint64_t I = 0; I < 5000; ++I)
-    KB.push_back(3 * I + 1);
-  SetT SA(KA), SB(KB);
-  SetT U = SetT::map_union(SA, SB);
-  ASSERT_EQ(U.size(), KA.size() + KB.size());
+  {
+    // No pinned readers: each publish also reclaims the version it
+    // retires, so both serving spans record on this thread.
+    serving::version_chain<int> VC(1);
+    VC.publish(2);
+    VC.publish(3);
+    ASSERT_EQ(VC.acquire(), 3);
+  }
   obs::trace::disable();
 
   const char *Path = "test_obs_trace.json";
@@ -342,10 +311,8 @@ TEST(ObsTrace, ChunkedMergeSpansFlushAsLoadableJson) {
   }
   std::remove(Path);
   EXPECT_NE(J.find("\"traceEvents\""), std::string::npos);
-  // merge_chunk spans fire inside the parallel_for lambda, which runs even
-  // when every fork inlines — present at any worker count.
-  EXPECT_NE(J.find("\"merge_chunk\""), std::string::npos);
-  EXPECT_NE(J.find("\"merge_join\""), std::string::npos);
+  EXPECT_NE(J.find("\"publish\""), std::string::npos);
+  EXPECT_NE(J.find("\"reclaim\""), std::string::npos);
   EXPECT_NE(J.find("\"ph\": \"X\""), std::string::npos);
   EXPECT_NE(J.find("\"thread_name\""), std::string::npos);
   int Depth = 0;
