@@ -1,4 +1,4 @@
-//===- bench_merge.cpp - Dense-interleaved merge fallback benchmark --------===//
+//===- bench_merge.cpp - Dense-interleaved merge fallback benchmark -------===//
 //
 // Part of the CPAM reproduction of PaC-trees (PLDI 2022).
 //
